@@ -9,6 +9,7 @@ without tolerances.
 
 from .qsqrt5 import GOLDEN, ONE, QSqrt5, SQRT5, ZERO
 from .diagram import (
+    ConsistencyError,
     Diagram,
     DiagramError,
     Family,
@@ -66,7 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GOLDEN", "ONE", "QSqrt5", "SQRT5", "ZERO",
-    "Diagram", "DiagramError", "Family", "build", "cartan_matrix",
+    "ConsistencyError", "Diagram", "DiagramError", "Family", "build", "cartan_matrix",
     "classify_parabolic", "gram_matrix_weights", "group_order",
     "is_platonic_chain", "parabolic_order", "parse_name", "root_count",
     "Decoration", "DecorationError", "End", "Symbol", "chain", "dual_read",

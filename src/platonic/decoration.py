@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .diagram import Diagram, is_platonic_chain
+from .diagram import ConsistencyError, Diagram, is_platonic_chain
 
 
 class Symbol(str, Enum):
@@ -169,10 +169,12 @@ def chain(d: Diagram, end: End) -> tuple[Decoration, ...]:
     out = [current]
     while current.open_nodes:
         successors = step(d, current)
-        assert len(successors) == 1, "single-square chain recursion must not branch"
+        if len(successors) != 1:
+            raise ConsistencyError("single-square chain recursion must not branch")
         current = successors[0]
         out.append(current)
-    assert len(out) == d.rank
+    if len(out) != d.rank:
+        raise ConsistencyError(f"chain has {len(out)} decorations, rank is {d.rank}")
     return tuple(out)
 
 

@@ -43,6 +43,10 @@ class DiagramError(ValueError):
     """Raised for invalid family/rank combinations or unknown names."""
 
 
+class ConsistencyError(RuntimeError):
+    """Raised when two independent routes to one quantity disagree."""
+
+
 @dataclass(frozen=True)
 class Diagram:
     """A Coxeter-Dynkin diagram: family, rank and labelled edges.

@@ -13,8 +13,7 @@ import numpy as np
 
 from .decoration import End, chain
 from .diagram import Diagram, gram_matrix_weights
-from .facelattice import enumerate_faces, face_count, polytope_name, seed_point
-from .orbit import orbit
+from .facelattice import enumerate_faces, face_count, polytope_name, vertex_table
 
 
 def cartesian_map(d: Diagram):
@@ -24,11 +23,9 @@ def cartesian_map(d: Diagram):
 
 
 def _vertex_arrays(d: Diagram, end: End):
-    points = orbit(d, seed_point(d, end), d.nodes).points
-    index = {p: k for k, p in enumerate(points)}
-    emb = cartesian_map(d)
-    coords = np.array([[float(v) for v in p] for p in points]) @ emb.T
-    return points, index, coords
+    points = vertex_table(d, end)[0]
+    coords = np.array([[float(v) for v in p] for p in points]) @ cartesian_map(d).T
+    return points, coords
 
 
 def _polygon_cycle(face_idx: list[int], coords: np.ndarray) -> list[int]:
@@ -64,11 +61,10 @@ def off_text(d: Diagram, end: End) -> str:
     if d.rank != 3:
         raise ValueError(f"OFF export needs rank 3, {d.name} has rank {d.rank}")
     decs = chain(d, end)
-    points, index, coords = _vertex_arrays(d, end)
-    polygons = [
-        _polygon_cycle(sorted(index[p] for p in face), coords)
-        for face in enumerate_faces(d, decs[2])
-    ]
+    points, coords = _vertex_arrays(d, end)
+    # polygons in the order of their exact vertex sets
+    faces = sorted(enumerate_faces(d, decs[2]), key=lambda f: sorted(points[v] for v in f))
+    polygons = [_polygon_cycle(list(face), coords) for face in faces]
     edge_count = face_count(d, decs[1])
     lines = ["OFF", f"{len(points)} {len(polygons)} {edge_count}"]
     for row in coords:
@@ -82,12 +78,11 @@ def incidence_json(d: Diagram, end: End) -> dict:
     """Exact vertices plus per-dimension face vertex-index lists."""
     if d.rank > 8:
         raise ValueError("incidence export supported up to rank 8")
-    points, index, coords = _vertex_arrays(d, end)
-    faces: dict[str, list[list[int]]] = {}
-    for k, dec in enumerate(chain(d, end)):
-        faces[str(k)] = sorted(
-            sorted(index[p] for p in face) for face in enumerate_faces(d, dec)
-        )
+    points, coords = _vertex_arrays(d, end)
+    faces = {
+        str(k): [list(face) for face in enumerate_faces(d, dec)]
+        for k, dec in enumerate(chain(d, end))
+    }
     return {
         "diagram": d.name,
         "end": end.value,

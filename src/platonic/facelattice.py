@@ -7,10 +7,11 @@ symmetry group and its pointwise stabilizer, and the class size
     count = |W| / (|stabilizer parabolic| * |face parabolic|).
 
 Every counting statement here has a geometric counterpart: faces are
-realized as exact vertex sets (the orbit of the seed vertex under the
-face's generators) and whole classes are enumerated by a breadth-first
-closure on vertex sets.  The two routes are kept independent so one can
-check the other.
+realized as vertex sets (the orbit of the seed vertex under the face's
+generators) and whole classes are enumerated by a breadth-first closure
+on vertex sets.  A vertex set is a sorted tuple of indices into the exact
+vertex orbit, on which each reflection acts by a precomputed permutation.
+The two routes are kept independent so one can check the other.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from dataclasses import dataclass
 from functools import cache
 
 from .decoration import Decoration, DecorationError, End, chain, dual_read, validate
-from .diagram import Diagram, Family, group_order, is_platonic_chain, parabolic_order
+from .diagram import (ConsistencyError, Diagram, Family, group_order, is_platonic_chain,
+                      parabolic_order)
 from .orbit import Point, fundamental_weight, orbit, reflect
 
-Face = tuple[Point, ...]
+Face = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,8 @@ def face_count(d: Diagram, dec: Decoration) -> int:
         raise DecorationError(f"invalid decoration {dec.text} for {d.name}")
     total = group_order(d)
     denom = parabolic_order(d, dec.open_nodes) * parabolic_order(d, dec.filled_nodes)
-    assert total % denom == 0, f"non-integral face count {total}/{denom}"
+    if total % denom:
+        raise ConsistencyError(f"non-integral face count {total}/{denom}")
     return total // denom
 
 
@@ -108,7 +111,8 @@ def stabilizer_ratio(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> int:
         raise DecorationError(f"need dimensions c < d, got {dim_c} >= {dim_d}")
     num = parabolic_order(d, dec_c.open_nodes)
     den = parabolic_order(d, dec_d.open_nodes)
-    assert num % den == 0, f"non-integral stabilizer ratio {num}/{den}"
+    if num % den:
+        raise ConsistencyError(f"non-integral stabilizer ratio {num}/{den}")
     return num // den
 
 
@@ -131,41 +135,58 @@ def seed_point(d: Diagram, end: End) -> Point:
     return fundamental_weight(d, 1 if end is End.LEFT else d.rank)
 
 
-def canonical_face(points) -> Face:
-    """Vertex set in sorted order; face identity is its vertex set."""
-    return tuple(sorted(set(points)))
+@cache
+def vertex_table(d: Diagram, end: End) -> tuple[tuple[Point, ...], tuple[tuple[int, ...], ...]]:
+    """The vertex orbit in ``orbit`` order (vertex 0 is the seed) and ``perms``,
+    where ``perms[i - 1][v]`` is the index of vertex ``v`` reflected by node ``i``."""
+    points = orbit(d, seed_point(d, end), d.nodes).points
+    index = {p: k for k, p in enumerate(points)}
+    return points, tuple(tuple(index[reflect(d, i, p)] for p in points) for i in d.nodes)
 
 
-def realize_representative(d: Diagram, dec: Decoration) -> Face:
+def _closure(first: Face, perms) -> tuple[Face, ...]:
+    """Sorted breadth-first closure of one face under vertex permutations."""
+    seen = {first}
+    frontier = [first]
+    while frontier:
+        face = frontier.pop()
+        for perm in perms:
+            image = tuple(sorted([perm[v] for v in face]))
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return tuple(sorted(seen))
+
+
+def _representative(perms, dec: Decoration) -> Face:
+    """The seed vertex's orbit under the face group, as vertex indices."""
+    return tuple(v for (v,) in _closure((0,), [perms[i - 1] for i in dec.filled_nodes]))
+
+
+def realize_representative(d: Diagram, dec: Decoration) -> tuple[Point, ...]:
     """One concrete face of the class: seed-vertex orbit under the face group."""
     end, _ = locate_in_chain(d, dec)
-    pts = orbit(d, seed_point(d, end), dec.filled_nodes).points
-    return canonical_face(pts)
+    points, perms = vertex_table(d, end)
+    return tuple(sorted(points[v] for v in _representative(perms, dec)))
 
 
 @cache
 def enumerate_faces(d: Diagram, dec: Decoration) -> tuple[Face, ...]:
     """Every face of the class, via breadth-first closure on vertex sets.
 
-    Applies each generating reflection to the whole vertex set of each
-    known face and deduplicates canonically.  The result is sorted and
-    its size is checked against the counting formula.
+    A face is a sorted tuple of indices into the vertex orbit of its seed
+    end, ``vertex_table(d, end)[0]``.  The result is sorted and its size is
+    checked against the counting formula.
     """
-    first = realize_representative(d, dec)
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        face = frontier.pop()
-        for i in d.nodes:
-            image = canonical_face(reflect(d, i, p) for p in face)
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
+    end, _ = locate_in_chain(d, dec)
+    perms = vertex_table(d, end)[1]
+    faces = _closure(_representative(perms, dec), perms)
     expected = face_count(d, dec)
-    assert len(seen) == expected, (
-        f"geometric enumeration found {len(seen)} faces, counting gives {expected}"
-    )
-    return tuple(sorted(seen))
+    if len(faces) != expected:
+        raise ConsistencyError(
+            f"geometric enumeration found {len(faces)} faces, counting gives {expected}"
+        )
+    return faces
 
 
 def incidence_count(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> int:
@@ -181,8 +202,8 @@ def incidence_count(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> int:
         raise DecorationError("decorations come from different seed ends")
     if dim_c >= dim_d:
         raise DecorationError(f"need dimensions c < d, got {dim_c} >= {dim_d}")
-    small = set(realize_representative(d, dec_c))
-    return sum(1 for face in enumerate_faces(d, dec_d) if small <= set(face))
+    small = set(_representative(vertex_table(d, end_c)[1], dec_c))
+    return sum(1 for face in enumerate_faces(d, dec_d) if small.issubset(face))
 
 
 def euler_sum(d: Diagram, end: End) -> int:

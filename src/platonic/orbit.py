@@ -14,7 +14,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cache
 
-from .diagram import Diagram, cartan_matrix, gram_matrix_weights, group_order
+from .diagram import ConsistencyError, Diagram, cartan_matrix, gram_matrix_weights, group_order
 from .qsqrt5 import QSqrt5, ZERO
 
 Point = tuple[QSqrt5, ...]
@@ -47,9 +47,6 @@ class OrbitResult:
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def __contains__(self, point: Point) -> bool:
-        return point in set(self.points)
 
 
 @cache
@@ -111,7 +108,8 @@ def stabilizer_order_of_point(d: Diagram, seed: Point) -> int:
     """Order of the stabilizer of ``seed``: |W| over the full orbit size."""
     size = orbit(d, seed, d.nodes).size
     total = group_order(d)
-    assert total % size == 0, f"orbit size {size} does not divide |W| = {total}"
+    if total % size:
+        raise ConsistencyError(f"orbit size {size} does not divide |W| = {total}")
     return total // size
 
 

@@ -199,6 +199,7 @@ class QSqrt5:
         Accepts the forms emitted by ``str``: a rational, a root term, or
         ``rational ± coefficient√5``, with optional spaces, ``*``/``·``
         between coefficient and root, and ``sqrt5``/``sqrt(5)`` spellings.
+        Raises ValueError on any other text, a zero denominator included.
         """
         s = text.strip().lower().replace("sqrt(5)", "√5").replace("sqrt5", "√5")
         s = s.replace(" ", "")
@@ -207,13 +208,16 @@ class QSqrt5:
         m = _PARSE_RE.fullmatch(s)
         if m is None or (m.group("a") is None and "√5" not in s):
             raise ValueError(f"cannot parse QSqrt5 literal: {text!r}")
-        a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-        if "√5" in s:
-            b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
-            if m.group("bsign") == "-":
-                b = -b
-        else:
-            b = Fraction(0)
+        try:
+            a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
+            if "√5" in s:
+                b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+                if m.group("bsign") == "-":
+                    b = -b
+            else:
+                b = Fraction(0)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in QSqrt5 literal: {text!r}") from None
         return cls(a, b)
 
 

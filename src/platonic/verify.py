@@ -339,8 +339,9 @@ def check_structural_properties(result: CheckResult) -> None:
     for name in ("A3", "B3", "C3", "H3", "A4", "B4", "C4", "F4", "H4"):
         d = parse_name(name)
         for end in (End.LEFT, End.RIGHT):
+            points = facelattice.vertex_table(d, end)[0]
             edges = facelattice.enumerate_faces(d, chain(d, end)[1])
-            lengths = {norm_sq(d, point_sub(e[0], e[1])) for e in edges}
+            lengths = {norm_sq(d, point_sub(points[a], points[b])) for a, b in edges}
             _expect(result, len(lengths) == 1,
                     f"{name} {end.value}: edge lengths not uniform: {lengths}")
 

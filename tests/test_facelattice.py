@@ -9,12 +9,19 @@ Claims:
       geometric count can undercut (octahedron: 8 vs 4)
     - Euler alternating sums, mirror/dual symmetries and edge-length
       uniformity hold across the supported range
+    - index faces map back to the faces of the point-set enumeration
+    - a count that disagrees with the enumeration raises ConsistencyError,
+      also under ``python -O``
 """
+
+import subprocess
+import sys
 
 import pytest
 
 from conftest import chain_diagrams
 from platonic import (
+    ConsistencyError,
     Decoration,
     DecorationError,
     End,
@@ -34,15 +41,18 @@ from platonic import (
     intersection_symmetry_nodes,
     meeting_note,
     norm_sq,
+    orbit,
     parabolic_order,
     parse_name,
     point_sub,
     polytope_name,
     realize_representative,
+    reflect,
     report,
     stabilizer_ratio,
 )
-from platonic.facelattice import locate_in_chain, seed_point
+from platonic import facelattice
+from platonic.facelattice import locate_in_chain, seed_point, vertex_table
 
 
 def dec(text):
@@ -197,11 +207,9 @@ class TestEnumerate:
 
     def test_vertices_equal_orbit(self):
         h3 = parse_name("H3")
-        from platonic import orbit
-
         faces = enumerate_faces(h3, chain(h3, End.LEFT)[0])
         pts = orbit(h3, seed_point(h3, End.LEFT), h3.nodes).points
-        assert {f[0] for f in faces} == set(pts)
+        assert {pts[f[0]] for f in faces} == set(pts)
 
     def test_matches_formula_3d_4d(self):
         for name in ("A3", "B3", "C3", "H3", "A4", "B4", "C4", "F4", "H4"):
@@ -209,6 +217,79 @@ class TestEnumerate:
             for end in (End.LEFT, End.RIGHT):
                 for c in chain(d, end):
                     assert len(enumerate_faces(d, c)) == face_count(d, c), (name, c.text)
+
+
+def point_set_faces(d, c):
+    """Reference enumeration on exact points: sorted point tuples closed
+    under ``reflect``, with no vertex indices involved."""
+    end, _ = locate_in_chain(d, c)
+
+    def canonical(points):
+        return tuple(sorted(set(points)))
+
+    first = canonical(orbit(d, seed_point(d, end), c.filled_nodes).points)
+    seen = {first}
+    frontier = [first]
+    while frontier:
+        face = frontier.pop()
+        for i in d.nodes:
+            image = canonical(reflect(d, i, p) for p in face)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
+
+
+class TestPointSetOracle:
+    def test_index_faces_are_the_point_set_faces(self):
+        # H4 is left out: its point-set lattice alone takes several seconds
+        for d in chain_diagrams(5):
+            if d.family is Family.H4:
+                continue
+            for end in (End.LEFT, End.RIGHT):
+                points = vertex_table(d, end)[0]
+                for c in chain(d, end):
+                    got = {tuple(sorted(points[v] for v in face))
+                           for face in enumerate_faces(d, c)}
+                    assert got == point_set_faces(d, c), (d.name, end, c.text)
+
+    def test_vertex_table_is_the_seed_orbit(self):
+        for d in chain_diagrams(4):
+            for end in (End.LEFT, End.RIGHT):
+                points, perms = vertex_table(d, end)
+                assert points == orbit(d, seed_point(d, end), d.nodes).points
+                for i, perm in zip(d.nodes, perms):
+                    assert [points[w] for w in perm] == [reflect(d, i, p) for p in points]
+
+
+class TestConsistency:
+    def test_tampered_count_raises(self, monkeypatch):
+        a3 = parse_name("A3")
+        real = facelattice.face_count
+        monkeypatch.setattr(facelattice, "face_count", lambda d, c: real(d, c) + 1)
+        enumerate_faces.cache_clear()
+        with pytest.raises(ConsistencyError, match="found 4 faces, counting gives 5"):
+            enumerate_faces(a3, chain(a3, End.LEFT)[0])
+
+    def test_tampered_count_raises_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from platonic import ConsistencyError, End, chain, parse_name\n"
+            "from platonic import facelattice as fl\n"
+            "if __debug__:\n"
+            "    sys.exit('not running under -O')\n"
+            "real = fl.face_count\n"
+            "fl.face_count = lambda d, c: real(d, c) + 1\n"
+            "a3 = parse_name('A3')\n"
+            "try:\n"
+            "    fl.enumerate_faces(a3, chain(a3, End.LEFT)[0])\n"
+            "except ConsistencyError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestIncidence:
@@ -306,8 +387,9 @@ class TestDuality:
         for name in ("A3", "B3", "C3", "H3", "A4", "B4", "C4", "F4", "H4"):
             d = parse_name(name)
             for end in (End.LEFT, End.RIGHT):
+                points = vertex_table(d, end)[0]
                 edges = enumerate_faces(d, chain(d, end)[1])
-                lengths = {norm_sq(d, point_sub(e[0], e[1])) for e in edges}
+                lengths = {norm_sq(d, point_sub(points[a], points[b])) for a, b in edges}
                 assert len(lengths) == 1, (name, end)
 
 

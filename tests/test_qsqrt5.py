@@ -152,6 +152,11 @@ class TestText:
             with pytest.raises(ValueError):
                 QSqrt5.parse(bad)
 
+    def test_parse_rejects_zero_denominator(self):
+        for bad in ("1/0", "1/0√5", "2 + 3/0√5", "-1/0 - √5"):
+            with pytest.raises(ValueError, match="zero denominator"):
+                QSqrt5.parse(bad)
+
 
 class TestHashing:
     def test_structural_equality_and_hash(self):
