@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import export, facelattice, verify
+from . import facelattice, verify
 from .decoration import DecorationError, End, chain
 from .diagram import (
     DiagramError,
@@ -143,6 +143,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from . import export  # imports numpy, which no other verb needs
+
     d = _diagram_arg(args.diagram, args.n)
     end = _end_arg(args.end)
     fmt = args.format or ("off" if d.rank == 3 else "json")

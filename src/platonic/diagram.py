@@ -289,17 +289,11 @@ def _component_order(family: str, rank: int) -> int:
 
 def group_order(d: Diagram) -> int:
     """Order of the reflection group of the diagram."""
-    n = d.rank
-    return {
-        Family.A: lambda: math.factorial(n + 1),
-        Family.B: lambda: 2**n * math.factorial(n),
-        Family.C: lambda: 2**n * math.factorial(n),
-        Family.D: lambda: 2 ** (n - 1) * math.factorial(n),
-        Family.F4: lambda: 1152,
-        Family.H2: lambda: 10,
-        Family.H3: lambda: 120,
-        Family.H4: lambda: 14400,
-    }[d.family]()
+    if d.family in (Family.B, Family.C):
+        return _component_order("BC", d.rank)
+    if d.family in (Family.H2, Family.H3, Family.H4):
+        return _component_order("H", d.rank)
+    return _component_order(d.family.value, d.rank)
 
 
 def root_count(d: Diagram) -> int:

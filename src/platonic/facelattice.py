@@ -10,7 +10,8 @@ Every counting statement here has a geometric counterpart: faces are
 realized as vertex sets (the orbit of the seed vertex under the face's
 generators) and whole classes are enumerated by a breadth-first closure
 on vertex sets.  A vertex set is a sorted tuple of indices into the exact
-vertex orbit, on which each reflection acts by a precomputed permutation.
+vertex orbit, on which each reflection acts by the permutation that the
+orbit sweep records.
 The two routes are kept independent so one can check the other.
 """
 
@@ -19,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .decoration import Decoration, DecorationError, End, chain, dual_read, validate
+from .decoration import Decoration, DecorationError, End, chain, validate
 from .diagram import (ConsistencyError, Diagram, Family, group_order, is_platonic_chain,
                       parabolic_order)
-from .orbit import Point, fundamental_weight, orbit, reflect
+# not called here: kept as facelattice.reflect, an import site perfbench wraps
+from .orbit import Point, fundamental_weight, orbit, reflect  # noqa: F401
 
 Face = tuple[int, ...]
 
@@ -96,6 +98,17 @@ def locate_in_chain(d: Diagram, dec: Decoration) -> tuple[End, int]:
     raise DecorationError(f"decoration {dec.text} is not in either chain of {d.name}")
 
 
+def _common_end(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> End:
+    """The seed end shared by a c-face and a d-face class with c < d."""
+    end_c, dim_c = locate_in_chain(d, dec_c)
+    end_d, dim_d = locate_in_chain(d, dec_d)
+    if end_c is not end_d and d.rank > 1:
+        raise DecorationError("decorations come from different seed ends")
+    if dim_c >= dim_d:
+        raise DecorationError(f"need dimensions c < d, got {dim_c} >= {dim_d}")
+    return end_c
+
+
 def stabilizer_ratio(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> int:
     """Ratio of the two stabilizer-parabolic orders for faces of dimensions c < d.
 
@@ -103,12 +116,7 @@ def stabilizer_ratio(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> int:
     (d-1)-face; for a wider gap it counts flags rather than distinct
     faces (see incidence_count for the geometric number).
     """
-    end_c, dim_c = locate_in_chain(d, dec_c)
-    end_d, dim_d = locate_in_chain(d, dec_d)
-    if end_c is not end_d and d.rank > 1:
-        raise DecorationError("decorations come from different seed ends")
-    if dim_c >= dim_d:
-        raise DecorationError(f"need dimensions c < d, got {dim_c} >= {dim_d}")
+    _common_end(d, dec_c, dec_d)
     num = parabolic_order(d, dec_c.open_nodes)
     den = parabolic_order(d, dec_d.open_nodes)
     if num % den:
@@ -135,13 +143,12 @@ def seed_point(d: Diagram, end: End) -> Point:
     return fundamental_weight(d, 1 if end is End.LEFT else d.rank)
 
 
-@cache
 def vertex_table(d: Diagram, end: End) -> tuple[tuple[Point, ...], tuple[tuple[int, ...], ...]]:
-    """The vertex orbit in ``orbit`` order (vertex 0 is the seed) and ``perms``,
-    where ``perms[i - 1][v]`` is the index of vertex ``v`` reflected by node ``i``."""
-    points = orbit(d, seed_point(d, end), d.nodes).points
-    index = {p: k for k, p in enumerate(points)}
-    return points, tuple(tuple(index[reflect(d, i, p)] for p in points) for i in d.nodes)
+    """The seed's vertex orbit in ``orbit`` order (vertex 0 is the seed) and
+    ``perms``, where ``perms[i - 1][v]`` is the index of vertex ``v`` reflected
+    by node ``i``; both come from the orbit sweep and its cache."""
+    result = orbit(d, seed_point(d, end), d.nodes)
+    return result.points, result.perms
 
 
 def _closure(first: Face, perms) -> tuple[Face, ...]:
@@ -196,13 +203,8 @@ def incidence_count(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> int:
     representative c-face.  Agrees with stabilizer_ratio for consecutive
     dimensions; for wider gaps the ratio counts flags and can be larger.
     """
-    end_c, dim_c = locate_in_chain(d, dec_c)
-    end_d, dim_d = locate_in_chain(d, dec_d)
-    if end_c is not end_d and d.rank > 1:
-        raise DecorationError("decorations come from different seed ends")
-    if dim_c >= dim_d:
-        raise DecorationError(f"need dimensions c < d, got {dim_c} >= {dim_d}")
-    small = set(_representative(vertex_table(d, end_c)[1], dec_c))
+    end = _common_end(d, dec_c, dec_d)
+    small = set(_representative(vertex_table(d, end)[1], dec_c))
     return sum(1 for face in enumerate_faces(d, dec_d) if small.issubset(face))
 
 

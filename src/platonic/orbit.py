@@ -4,13 +4,13 @@ Points are tuples of exact scalars: coordinate ``i`` is the coefficient of
 the i-th fundamental weight.  In this basis the reflection through mirror
 ``i`` subtracts ``x_i`` times row i of the Cartan matrix, so orbits of any
 seed stay exact and deduplicate by structural equality.  Orbit enumeration
-is a plain breadth-first closure with a deterministic generator sweep.
+is a plain breadth-first closure with a deterministic generator sweep that
+also records how each generator permutes the points it visits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
 from fractions import Fraction
 from functools import cache
 
@@ -38,11 +38,13 @@ def point_sub(x: Point, y: Point) -> Point:
 
 @dataclass(frozen=True)
 class OrbitResult:
-    """Closure of one seed under a set of generating reflections."""
+    """Closure of one seed under a set of generating reflections; ``perms[k][v]``
+    is the index of ``points[v]`` reflected by the k-th generator in ascending order."""
 
     points: tuple[Point, ...]
     seed: Point
     generators: frozenset[int]
+    perms: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
@@ -60,6 +62,8 @@ def _sparse_rows(d: Diagram) -> tuple[tuple[tuple[int, QSqrt5], ...], ...]:
 
 def reflect(d: Diagram, i: int, x: Point) -> Point:
     """Apply the reflection of node ``i`` (1-based): x - x_i * (row i of C)."""
+    if not 1 <= i <= d.rank:
+        raise ValueError(f"generators {(i,)} outside 1..{d.rank}")
     xi = x[i - 1]
     if not xi:
         return x
@@ -83,25 +87,18 @@ def orbit(d: Diagram, seed: Point, generators) -> OrbitResult:
 
 @cache
 def _orbit(d: Diagram, seed: Point, gens: tuple[int, ...]) -> OrbitResult:
-    rows = _sparse_rows(d)
-    seen = {seed}
+    index = {seed: 0}
     order = [seed]
-    frontier = deque((seed,))
-    while frontier:
-        x = frontier.popleft()
-        for i in gens:
-            xi = x[i - 1]
-            if not xi:
-                continue
-            coords = list(x)
-            for j, value in rows[i - 1]:
-                coords[j] = coords[j] - xi * value
-            y = tuple(coords)
-            if y not in seen:
-                seen.add(y)
+    perms = tuple([] for _ in gens)
+    for x in order:  # grows while swept: first-in, first-out
+        for i, perm in zip(gens, perms):
+            y = reflect(d, i, x)
+            k = index.get(y)
+            if k is None:
+                k = index[y] = len(order)
                 order.append(y)
-                frontier.append(y)
-    return OrbitResult(tuple(order), seed, frozenset(gens))
+            perm.append(k)
+    return OrbitResult(tuple(order), seed, frozenset(gens), tuple(map(tuple, perms)))
 
 
 def stabilizer_order_of_point(d: Diagram, seed: Point) -> int:

@@ -1,21 +1,8 @@
 """Shared helpers for the test suite."""
 
-from platonic import Family, build
 from platonic.qsqrt5 import ONE, ZERO
-
-
-def chain_diagrams(max_rank=8):
-    """Every branch-free diagram up to the given rank."""
-    out = [build(Family.A, n) for n in range(1, max_rank + 1)]
-    out += [build(Family.B, n) for n in range(2, max_rank + 1)]
-    out += [build(Family.C, n) for n in range(2, max_rank + 1)]
-    out += [build(Family.H2, 2), build(Family.H3, 3), build(Family.H4, 4),
-            build(Family.F4, 4)]
-    return out
-
-
-def all_diagrams(max_rank=8):
-    return chain_diagrams(max_rank) + [build(Family.D, n) for n in range(4, max_rank + 1)]
+from platonic.verify import _all_diagrams as all_diagrams
+from platonic.verify import _chain_diagrams as chain_diagrams
 
 
 def matmul(x, y):

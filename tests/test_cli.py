@@ -4,9 +4,12 @@ Claims:
     - every verb produces the documented output and exit codes
     - JSON output is canonical (load + re-dump is byte-identical)
     - bad names, non-chain diagrams and bad flags exit nonzero
+    - importing the CLI leaves numpy unloaded; only ``export`` needs it
 """
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -178,6 +181,14 @@ class TestVerify:
         assert statuses[4] == "PASS-WITH-NOTE"
         assert all(s in ("PASS", "PASS-WITH-NOTE") for s in statuses.values())
         assert roundtrip(out)
+
+
+class TestStartup:
+    def test_import_leaves_numpy_unloaded(self):
+        code = "import sys, platonic.cli; sys.exit('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr or "numpy was imported"
 
 
 class TestBadUsage:

@@ -254,12 +254,18 @@ class TestPointSetOracle:
                     assert got == point_set_faces(d, c), (d.name, end, c.text)
 
     def test_vertex_table_is_the_seed_orbit(self):
-        for d in chain_diagrams(4):
+        for d in chain_diagrams(8):
             for end in (End.LEFT, End.RIGHT):
                 points, perms = vertex_table(d, end)
                 assert points == orbit(d, seed_point(d, end), d.nodes).points
                 for i, perm in zip(d.nodes, perms):
                     assert [points[w] for w in perm] == [reflect(d, i, p) for p in points]
+                for c in chain(d, end):
+                    res = orbit(d, seed_point(d, end), c.filled_nodes)
+                    assert len(res.perms) == len(c.filled_nodes), (d.name, c.text)
+                    for i, perm in zip(sorted(c.filled_nodes), res.perms):
+                        assert [res.points[w] for w in perm] == [
+                            reflect(d, i, p) for p in res.points], (d.name, c.text, i)
 
 
 class TestConsistency:

@@ -50,6 +50,13 @@ class TestReflect:
         x = as_point((0, 3, Fraction(1, 2), 2))
         assert reflect(h4, 1, x) == x
 
+    def test_node_outside_range_rejected(self):
+        a3 = build(Family.A, 3)
+        x = as_point((1, 2, 3))
+        for i in (0, -1, 4):
+            with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+                reflect(a3, i, x)
+
     def test_involution_sampled(self):
         rng = random.Random(42)
         for d in all_diagrams(8):
