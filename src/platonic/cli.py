@@ -13,6 +13,7 @@ import sys
 from . import facelattice, verify
 from .decoration import DecorationError, End, chain
 from .diagram import (
+    ConsistencyError,
     DiagramError,
     group_order,
     is_platonic_chain,
@@ -243,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DiagramError, DecorationError, ValueError, OSError) as exc:
+    except (DiagramError, DecorationError, ConsistencyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,21 +5,28 @@ Every scalar used by this package is a :class:`QSqrt5`, the number
 golden ratio ``(1 + sqrt 5)/2``, so coordinates of pentagonal geometry stay
 exact; integer and rational quantities are simply elements with ``b = 0``.
 
+A value is stored as three Python ints ``(p, q, r)`` for
+``(p + q*sqrt(5))/r``, kept canonical: ``r > 0`` and ``gcd(p, q, r) == 1``.
+Sums, differences and products are formed from those ints with one gcd
+reduction (only when ``r != 1``), so arithmetic creates no
+:class:`fractions.Fraction`; ``a`` and ``b`` are read back as Fractions.
+
 All comparisons (equality, ordering, sign) are decided exactly from the
-rational components, never through floating point.  Floats appear only via
+integer components, never through floating point.  Floats appear only via
 :func:`float` when handing coordinates to mesh output.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm, sqrt
 
 Rational = int | Fraction
 
-_SQRT5 = math.sqrt(5.0)
+_SQRT5 = sqrt(5.0)
+_new = object.__new__
 
 # optional rational head (kept only when followed by +/- or end of string),
 # optional root term "b√5" with optional sign, coefficient and "*"/"·"
@@ -29,34 +36,80 @@ _PARSE_RE = re.compile(
 )
 
 
+def _make(p: int, q: int, r: int) -> "QSqrt5":
+    """The value ``(p + q*sqrt 5)/r`` for ints with ``r > 0``, in canonical form."""
+    if r != 1:
+        g = gcd(p, q, r)
+        if g != 1:
+            p //= g
+            q //= g
+            r //= g
+    x = _new(QSqrt5)
+    x._p = p
+    x._q = q
+    x._r = r
+    x._hash = None
+    return x
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``, without building the Fraction."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _coerce(value: object) -> "QSqrt5 | None":
     if isinstance(value, QSqrt5):
         return value
-    if isinstance(value, (int, Fraction)):
-        return QSqrt5(value)
+    if isinstance(value, int):
+        return _make(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
     return None
 
 
 @total_ordering
 class QSqrt5:
-    """Immutable exact number ``a + b*sqrt(5)`` with rational a, b.
+    """Exact number ``a + b*sqrt(5)`` with rational a, b.
 
-    Values are canonical by construction: :class:`fractions.Fraction`
-    keeps numerator/denominator reduced with a positive denominator, so
-    structural equality is value equality and instances hash soundly.
+    Stored as ints ``(p, q, r)`` for ``(p + q*sqrt(5))/r`` with ``r > 0`` and
+    ``gcd(p, q, r) == 1``.  That form is unique, so structural equality is
+    value equality and instances hash soundly.  Values are immutable: ``a``
+    and ``b`` are read-only :class:`fractions.Fraction` properties and the
+    int slots are private.
     """
 
-    __slots__ = ("a", "b", "_hash")
+    __slots__ = ("_p", "_q", "_r", "_hash")
 
     def __init__(self, a: Rational = 0, b: Rational = 0):
-        if isinstance(a, float) or isinstance(b, float):
-            raise TypeError("QSqrt5 components must be exact (int or Fraction)")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "_hash", None)
+        if type(a) is int and type(b) is int:
+            p, q, r = a, b, 1
+        else:
+            if isinstance(a, float) or isinstance(b, float):
+                raise TypeError("QSqrt5 components must be exact (int or Fraction)")
+            if not isinstance(a, (int, Fraction)):
+                a = Fraction(a)
+            if not isinstance(b, (int, Fraction)):
+                b = Fraction(b)
+            # reduced a and b over their least common denominator are canonical
+            r = lcm(a.denominator, b.denominator)
+            p = a.numerator * (r // a.denominator)
+            q = b.numerator * (r // b.denominator)
+        self._p = p
+        self._q = q
+        self._r = r
+        self._hash = None
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("QSqrt5 is immutable")
+    @property
+    def a(self) -> Fraction:
+        """Rational part."""
+        return Fraction(self._p, self._r)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient of sqrt(5)."""
+        return Fraction(self._q, self._r)
 
     # -- ring structure ------------------------------------------------
 
@@ -64,7 +117,10 @@ class QSqrt5:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt5(self.a + o.a, self.b + o.b)
+        r, s = self._r, o._r
+        if r == s:
+            return _make(self._p + o._p, self._q + o._q, r)
+        return _make(self._p * s + o._p * r, self._q * s + o._q * r, r * s)
 
     __radd__ = __add__
 
@@ -72,25 +128,29 @@ class QSqrt5:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt5(self.a - o.a, self.b - o.b)
+        r, s = self._r, o._r
+        if r == s:
+            return _make(self._p - o._p, self._q - o._q, r)
+        return _make(self._p * s - o._p * r, self._q * s - o._q * r, r * s)
 
     def __rsub__(self, other: object) -> "QSqrt5":
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return QSqrt5(o.a - self.a, o.b - self.b)
+        return o - self
 
     def __mul__(self, other: object) -> "QSqrt5":
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        # (a1 + b1√5)(a2 + b2√5) = a1a2 + 5 b1b2 + (a1b2 + b1a2)√5
-        return QSqrt5(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+        # (p1 + q1√5)(p2 + q2√5) = p1p2 + 5 q1q2 + (p1q2 + q1p2)√5
+        p1, q1, p2, q2 = self._p, self._q, o._p, o._q
+        return _make(p1 * p2 + 5 * q1 * q2, p1 * q2 + q1 * p2, self._r * o._r)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "QSqrt5":
-        return QSqrt5(-self.a, -self.b)
+        return _make(-self._p, -self._q, self._r)
 
     def __pos__(self) -> "QSqrt5":
         return self
@@ -99,22 +159,25 @@ class QSqrt5:
 
     def norm(self) -> Fraction:
         """Field norm ``a^2 - 5 b^2`` (product with the conjugate)."""
-        return self.a * self.a - 5 * self.b * self.b
+        return Fraction(self._p * self._p - 5 * self._q * self._q, self._r * self._r)
 
     def conjugate(self) -> "QSqrt5":
         """Image under sqrt(5) -> -sqrt(5)."""
-        return QSqrt5(self.a, -self.b)
+        return _make(self._p, -self._q, self._r)
 
     def invert(self) -> "QSqrt5":
         """Multiplicative inverse, computed as conjugate over norm.
 
         Raises ZeroDivisionError on zero.
         """
-        n = self.norm()
+        p, q, r = self._p, self._q, self._r
+        n = p * p - 5 * q * q
         if n == 0:
             # norm vanishes only at 0 since sqrt(5) is irrational
             raise ZeroDivisionError("inverse of zero in Q(√5)")
-        return QSqrt5(self.a / n, -self.b / n)
+        if n < 0:
+            n, r = -n, -r
+        return _make(r * p, -r * q, n)
 
     def __truediv__(self, other: object) -> "QSqrt5":
         o = _coerce(other)
@@ -133,31 +196,27 @@ class QSqrt5:
     def sign(self) -> int:
         """Exact sign of the real value: -1, 0 or +1, no floating point.
 
-        Mixed-sign components are resolved by comparing ``a^2`` with
-        ``5 b^2``; equality of those cannot happen off zero because
-        sqrt(5) is irrational.
+        The denominator is positive, so the sign is that of ``p + q*sqrt(5)``.
+        Mixed-sign ints are resolved by comparing ``p^2`` with ``5 q^2``,
+        which cannot be equal off zero because sqrt(5) is irrational.
         """
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sa == 0:
-            return sb
-        if sb == 0 or sa == sb:
-            return sa
-        # a and b pull in opposite directions
-        lhs = self.a * self.a
-        rhs = 5 * self.b * self.b
-        if lhs == rhs:  # pragma: no cover - impossible for nonzero b
-            return 0
-        return sa if lhs > rhs else sb
+        p, q = self._p, self._q
+        sp = (p > 0) - (p < 0)
+        sq = (q > 0) - (q < 0)
+        if sp == 0:
+            return sq
+        if sq == 0 or sp == sq:
+            return sp
+        return sp if p * p > 5 * q * q else sq
 
     def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
+        return self._p != 0 or self._q != 0
 
     def __eq__(self, other: object) -> bool:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self._p == o._p and self._q == o._q and self._r == o._r
 
     def __lt__(self, other: object) -> bool:
         o = _coerce(other)
@@ -169,28 +228,35 @@ class QSqrt5:
         h = self._hash
         if h is None:
             # rational values hash like the underlying Fraction so that
-            # x == Fraction(...) implies equal hashes
-            h = hash(self.a) if not self.b else hash((self.a, self.b))
-            object.__setattr__(self, "_hash", h)
+            # x == Fraction(...) implies equal hashes; others as (a, b)
+            p, q, r = self._p, self._q, self._r
+            if r == 1:
+                h = hash((p, q)) if q else hash(p)
+            else:
+                a = Fraction(p, r)
+                h = hash((a, Fraction(q, r))) if q else hash(a)
+            self._hash = h
         return h
 
     # -- conversions -----------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT5
+        # int true division rounds correctly, as float(Fraction) does
+        return self._p / self._r + self._q / self._r * _SQRT5
 
     def __repr__(self) -> str:
         return f"QSqrt5({self.a}, {self.b})"
 
     def __str__(self) -> str:
         """Canonical text form, e.g. ``1/2 + 1/2√5``; parse() round-trips it."""
-        if not self.b:
-            return str(self.a)
-        root = "√5" if abs(self.b) == 1 else f"{abs(self.b)}√5"
-        if not self.a:
-            return root if self.b > 0 else "-" + root
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a} {op} {root}"
+        p, q, r = self._p, self._q, self._r
+        if not q:
+            return _ratio_text(p, r)
+        root = "√5" if abs(q) == r else f"{_ratio_text(abs(q), r)}√5"
+        if not p:
+            return root if q > 0 else "-" + root
+        op = "+" if q > 0 else "-"
+        return f"{_ratio_text(p, r)} {op} {root}"
 
     @classmethod
     def parse(cls, text: str) -> "QSqrt5":

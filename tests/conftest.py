@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import pytest
+
+from platonic import facelattice
 from platonic.qsqrt5 import ONE, ZERO
 from platonic.verify import _all_diagrams as all_diagrams
 from platonic.verify import _chain_diagrams as chain_diagrams
@@ -29,3 +32,13 @@ def reflection_matrix(cartan, i):
         row[i0] = row[i0] - cartan[i0][j]
         rows.append(tuple(row))
     return tuple(rows)
+
+
+@pytest.fixture
+def tampered_face_count(monkeypatch):
+    """``facelattice.face_count`` one too high, with the face cache emptied around it."""
+    real = facelattice.face_count
+    monkeypatch.setattr(facelattice, "face_count", lambda d, c: real(d, c) + 1)
+    facelattice.enumerate_faces.cache_clear()
+    yield
+    facelattice.enumerate_faces.cache_clear()

@@ -5,6 +5,8 @@ Claims:
     - JSON output is canonical (load + re-dump is byte-identical)
     - bad names, non-chain diagrams and bad flags exit nonzero
     - importing the CLI leaves numpy unloaded; only ``export`` needs it
+    - a failed cross-check is an ``error:`` line and exit 1, not a traceback
+    - ``verify`` passes under ``python -O``, which strips asserts
 """
 
 import json
@@ -181,6 +183,20 @@ class TestVerify:
         assert statuses[4] == "PASS-WITH-NOTE"
         assert all(s in ("PASS", "PASS-WITH-NOTE") for s in statuses.values())
         assert roundtrip(out)
+
+    def test_passes_under_optimize(self):
+        proc = subprocess.run([sys.executable, "-O", "-m", "platonic", "verify"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "9/9 checks passed" in proc.stdout
+
+
+class TestConsistency:
+    def test_tampered_count_is_an_error_line(self, capsys, tampered_face_count):
+        code, out, err = run(capsys, "enumerate", "A3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "counting gives" in err
 
 
 class TestStartup:

@@ -51,7 +51,6 @@ from platonic import (
     report,
     stabilizer_ratio,
 )
-from platonic import facelattice
 from platonic.facelattice import locate_in_chain, seed_point, vertex_table
 
 
@@ -269,11 +268,8 @@ class TestPointSetOracle:
 
 
 class TestConsistency:
-    def test_tampered_count_raises(self, monkeypatch):
+    def test_tampered_count_raises(self, tampered_face_count):
         a3 = parse_name("A3")
-        real = facelattice.face_count
-        monkeypatch.setattr(facelattice, "face_count", lambda d, c: real(d, c) + 1)
-        enumerate_faces.cache_clear()
         with pytest.raises(ConsistencyError, match="found 4 faces, counting gives 5"):
             enumerate_faces(a3, chain(a3, End.LEFT)[0])
 

@@ -6,6 +6,8 @@ Claims:
     - field axioms hold on randomly sampled values
     - sign() is exact and agrees with float conversion away from zero
     - the text rendering round-trips through parse()
+    - the integer form (p + q√5)/r gives exactly what the two-Fraction
+      formulas give, and stays canonical (r > 0, gcd(p, q, r) = 1)
 """
 
 import math
@@ -175,3 +177,150 @@ class TestHashing:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             GOLDEN.a = Fraction(1)
+
+
+class RefQ:
+    """Oracle: ``a + b√5`` as two Fractions, by the formulas QSqrt5 used
+    before it stored reduced ints."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def add(self, o):
+        return RefQ(self.a + o.a, self.b + o.b)
+
+    def sub(self, o):
+        return RefQ(self.a - o.a, self.b - o.b)
+
+    def mul(self, o):
+        return RefQ(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def neg(self):
+        return RefQ(-self.a, -self.b)
+
+    def conjugate(self):
+        return RefQ(self.a, -self.b)
+
+    def norm(self):
+        return self.a * self.a - 5 * self.b * self.b
+
+    def invert(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError
+        return RefQ(self.a / n, -self.b / n)
+
+    def div(self, o):
+        return self.mul(o.invert())
+
+    def sign(self):
+        sa = (self.a > 0) - (self.a < 0)
+        sb = (self.b > 0) - (self.b < 0)
+        if sa == 0:
+            return sb
+        if sb == 0 or sa == sb:
+            return sa
+        return sa if self.a * self.a > 5 * self.b * self.b else sb
+
+    def hash(self):
+        return hash(self.a) if not self.b else hash((self.a, self.b))
+
+    def float(self):
+        return float(self.a) + float(self.b) * math.sqrt(5.0)
+
+    def str(self):
+        if not self.b:
+            return str(self.a)
+        root = "√5" if abs(self.b) == 1 else f"{abs(self.b)}√5"
+        if not self.a:
+            return root if self.b > 0 else "-" + root
+        return f"{self.a} {'+' if self.b > 0 else '-'} {root}"
+
+
+def agrees(x, ref):
+    """``x`` is canonical and equals the oracle value, component by component."""
+    p, q, r = x._p, x._q, x._r
+    assert type(p) is int and type(q) is int and type(r) is int
+    assert r > 0 and math.gcd(p, q, r) == 1, (p, q, r)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert (x.a, x.b) == (ref.a, ref.b)
+    return True
+
+
+def oracle_operand(rng):
+    """A QSqrt5, int or Fraction (integral, rational, pure root or general),
+    with the oracle value built from the same components."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        a, b = rng.randint(-30, 30), 0
+        return a, RefQ(a, b)
+    if kind == 1:
+        a, b = Fraction(rng.randint(-400, 400), rng.randint(1, 60)), 0
+        return a, RefQ(a, b)
+    if kind == 2:
+        a, b = rng.randint(-30, 30), rng.randint(-30, 30)
+    elif kind == 3:
+        a, b = 0, Fraction(rng.randint(-90, 90), rng.randint(1, 12))
+    else:
+        a = Fraction(rng.randint(-400, 400), rng.randint(1, 60))
+        b = Fraction(rng.randint(-400, 400), rng.randint(1, 60))
+    return QSqrt5(a, b), RefQ(a, b)
+
+
+class TestIntegerFormOracle:
+    def test_binary_operations_match_fraction_formulas(self):
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 3000:
+            (x, rx), (y, ry) = oracle_operand(rng), oracle_operand(rng)
+            if not (isinstance(x, QSqrt5) or isinstance(y, QSqrt5)):
+                continue
+            assert agrees(x + y, rx.add(ry))
+            assert agrees(x - y, rx.sub(ry))
+            assert agrees(x * y, rx.mul(ry))
+            if ry.a or ry.b:
+                assert agrees(x / y, rx.div(ry))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+            assert (x == y) == (rx.a == ry.a and rx.b == ry.b)
+            assert (x < y) == (rx.sub(ry).sign() < 0)
+            assert (x >= y) == (rx.sub(ry).sign() >= 0)
+            checked += 1
+
+    def test_unary_operations_and_conversions_match(self):
+        rng = random.Random(2025)
+        for _ in range(3000):
+            v, ref = oracle_operand(rng)
+            x = v if isinstance(v, QSqrt5) else QSqrt5(v)
+            assert agrees(x, ref)
+            assert agrees(-x, ref.neg())
+            assert agrees(x.conjugate(), ref.conjugate())
+            norm = x.norm()
+            assert type(norm) is Fraction and norm == ref.norm()
+            if x:
+                assert agrees(x.invert(), ref.invert())
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x.invert()
+            assert x.sign() == ref.sign()
+            assert hash(x) == ref.hash()
+            assert repr(float(x)) == repr(ref.float())
+            assert str(x) == ref.str()
+            assert agrees(QSqrt5.parse(ref.str()), ref)
+            assert x == QSqrt5(ref.a, ref.b)
+            if not ref.b:
+                assert x == ref.a and hash(x) == hash(ref.a)
+
+    def test_constructor_reduces_to_canonical_form(self):
+        rng = random.Random(2026)
+        for _ in range(2000):
+            a = Fraction(rng.randint(-500, 500), rng.randint(1, 90))
+            b = Fraction(rng.randint(-500, 500), rng.randint(1, 90))
+            for args in ((a, b), (a,), (a.numerator, b), (a, b.numerator), (str(a), b)):
+                assert agrees(QSqrt5(*args), RefQ(*args))
+
+    def test_constants_are_canonical(self):
+        for x, a, b in ((ZERO, 0, 0), (ONE, 1, 0), (SQRT5, 0, 1),
+                        (GOLDEN, Fraction(1, 2), Fraction(1, 2))):
+            assert agrees(x, RefQ(a, b))
