@@ -99,15 +99,12 @@ def validate(d: Diagram, dec: Decoration) -> bool:
     """Check the marking grammar against a diagram.
 
     A decoration is valid when no pair of connected nodes carries an open
-    mark next to a filled one (and trivially at most one square per node,
-    hence at most n squares).  Raises on length mismatch.
+    mark next to a filled one.  Raises on length mismatch.
     """
     if len(dec) != d.rank:
         raise DecorationError(
             f"decoration of length {len(dec)} does not fit rank {d.rank}"
         )
-    if len(dec.square_nodes) > d.rank:  # pragma: no cover - impossible per node
-        return False
     clash = {Symbol.OPEN, Symbol.FILLED}
     for i, j, _ in d.edges:
         if {dec.symbols[i - 1], dec.symbols[j - 1]} == clash:

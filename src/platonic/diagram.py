@@ -6,10 +6,11 @@ is carried only for its group order and root count.  Nodes are numbered
 1..n left to right as the diagrams are conventionally drawn; an absent
 edge means the two mirrors commute (label 2).
 
-The module derives everything combinatorial and metric from a diagram:
-Cartan matrix, Gram matrix of the fundamental weights, group order, root
-count, and the classification of parabolic subgroups read off node
-subsets.
+A ``Diagram`` is checked when it is made: its edges must be the bonds of
+its family at its rank.  The module derives everything combinatorial and
+metric from a diagram: Cartan matrix C, Gram matrix of the fundamental
+weights (from C^-1 and the root lengths), group order, root count, and the
+finite type of each parabolic subgroup, read off the bonds of a node subset.
 """
 
 from __future__ import annotations
@@ -52,12 +53,17 @@ class Diagram:
     """A Coxeter-Dynkin diagram: family, rank and labelled edges.
 
     ``edges`` holds triples ``(i, j, m)`` with ``i < j`` and label
-    ``m in {3, 4, 5}``; every unlisted pair has label 2.
+    ``m in {3, 4, 5}``; every unlisted pair has label 2.  Raises
+    DiagramError unless they are the family's bonds at an admissible rank.
     """
 
     family: Family
     rank: int
     edges: tuple[tuple[int, int, int], ...]
+
+    def __post_init__(self) -> None:
+        if self.edges != _bonds(self.family, self.rank):
+            raise DiagramError(f"edges {self.edges} are not the bonds of {self.name}")
 
     @property
     def name(self) -> str:
@@ -104,12 +110,8 @@ _RANK_RULES = {
 }
 
 
-@cache
-def build(family: Family, rank: int) -> Diagram:
-    """Construct the diagram of the given family and rank.
-
-    Raises DiagramError when the rank is not admissible for the family.
-    """
+def _bonds(family: Family, rank: int) -> tuple[tuple[int, int, int], ...]:
+    """Sorted labelled edges of the family's diagram; DiagramError on a bad rank."""
     lo, hi = _RANK_RULES[family]
     if rank < lo or (hi is not None and rank != hi):
         raise DiagramError(f"invalid rank {rank} for family {family.value}")
@@ -127,7 +129,16 @@ def build(family: Family, rank: int) -> Diagram:
         # fork: replace the last chain edge by two tips on node rank-2
         chain = [(i, i + 1, 3) for i in range(1, rank - 1)]
         chain.append((rank - 2, rank, 3))
-    return Diagram(family, rank, tuple(sorted(chain)))
+    return tuple(sorted(chain))
+
+
+@cache
+def build(family: Family, rank: int) -> Diagram:
+    """Construct the diagram of the given family and rank.
+
+    Raises DiagramError when the rank is not admissible for the family.
+    """
+    return Diagram(family, rank, _bonds(family, rank))
 
 
 _NAME_RE = re.compile(r"([a-hA-H])\s*([0-9]+)")
@@ -184,10 +195,8 @@ def _root_inner(d: Diagram, lengths: tuple[Fraction, ...], i: int, j: int) -> QS
     if m == 4:
         # one long, one short: -sqrt(2)*1*cos(pi/4) = -1
         return QSqrt5(-1)
-    if m == 5:
-        # equal length 2: -2 cos(pi/5) = -golden
-        return -GOLDEN
-    raise DiagramError(f"unsupported edge label {m}")
+    # m == 5, equal length 2: -2 cos(pi/5) = -golden
+    return -GOLDEN
 
 
 @cache
@@ -207,32 +216,20 @@ def cartan_matrix(d: Diagram) -> MatrixQ:
     return tuple(rows)
 
 
-def simple_root_gram(d: Diagram) -> MatrixQ:
-    """Gram matrix of the simple roots, (a_i|a_j)."""
-    lengths = _root_lengths_sq(d)
-    return tuple(
-        tuple(_root_inner(d, lengths, i, j) for j in d.nodes) for i in d.nodes
-    )
-
-
 @cache
 def gram_matrix_weights(d: Diagram) -> MatrixQ:
-    """Gram matrix G of the fundamental weights, G = C^-1 A C^-T."""
-    c_inv = matrix_inverse(cartan_matrix(d))
-    return matrix_multiply(matrix_multiply(c_inv, simple_root_gram(d)), matrix_transpose(c_inv))
+    """Gram matrix G of the fundamental weights, G_ij = (C^-1)_ij (a_j|a_j) / 2.
 
-
-# -- small exact matrix helpers (n <= 8, Gauss-Jordan) -------------------
-
-def matrix_multiply(x: MatrixQ, y: MatrixQ) -> MatrixQ:
+    A = C diag((a_j|a_j)) / 2 is the Gram matrix of the simple roots, so
+    C^-1 A C^-T = diag((a_i|a_i)) C^-T / 2, which is symmetric.
+    """
+    halves = [length * _HALF for length in _root_lengths_sq(d)]
     return tuple(
-        tuple(sum((xi * yj for xi, yj in zip(row, col)), ZERO) for col in zip(*y))
-        for row in x
+        tuple(v * h for v, h in zip(row, halves)) for row in matrix_inverse(cartan_matrix(d))
     )
 
-def matrix_transpose(x: MatrixQ) -> MatrixQ:
-    return tuple(zip(*x))
 
+# -- exact matrix inverse (Gauss-Jordan) --------------------------------
 
 def matrix_inverse(x: MatrixQ) -> MatrixQ:
     n = len(x)
@@ -249,26 +246,6 @@ def matrix_inverse(x: MatrixQ) -> MatrixQ:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def matrix_determinant(x: MatrixQ) -> QSqrt5:
-    n = len(x)
-    rows = [list(row) for row in x]
-    det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = rows[col][col].invert()
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
-    return det
 
 
 # -- orders and root counts ----------------------------------------------
@@ -314,74 +291,39 @@ def root_count(d: Diagram) -> int:
 # -- parabolic sub-diagrams ----------------------------------------------
 
 def _components(d: Diagram, nodes: frozenset[int]) -> list[list[int]]:
-    seen: set[int] = set()
+    """Sorted components of ``nodes`` in node order: every node here has at
+    most one lower neighbour, and a sweep in node order joins its component."""
+    lower = {j: i for i, j, _ in d.edges}
+    home: dict[int, list[int]] = {}
     comps = []
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for nb in d.neighbors(cur):
-                if nb in nodes and nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
-                    queue.append(nb)
-        comps.append(sorted(comp))
+    for v in sorted(nodes):
+        comp = home.get(lower.get(v))
+        if comp is None:
+            comp = []
+            comps.append(comp)
+        comp.append(v)
+        home[v] = comp
     return comps
 
 
-def _classify_path(d: Diagram, comp: list[int]) -> tuple[str, int]:
-    """Classify a path-shaped component by its edge labels."""
+def _classify(d: Diagram, comp: list[int]) -> tuple[str, int]:
+    """Finite type of one connected component, read off its bonds.
+
+    A fork (a node of degree 3) occurs only in D; otherwise the component
+    is a run of consecutive chain nodes with at most one bond above 3.
+    """
     k = len(comp)
-    if k == 1:
-        return ("A", 1)
-    in_comp = set(comp)
-    degree = {v: sum(1 for nb in d.neighbors(v) if nb in in_comp) for v in comp}
-    ends = [v for v in comp if degree[v] == 1]
-    if len(ends) != 2:
-        raise ValueError(f"nodes {comp} do not induce a path")
-    # walk the path from the smaller end
-    order = [min(ends)]
-    prev = None
-    while len(order) < k:
-        nxt = [nb for nb in d.neighbors(order[-1]) if nb in in_comp and nb != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    labels = [d.label(order[i], order[i + 1]) for i in range(k - 1)]
-    special = [(pos, m) for pos, m in enumerate(labels) if m != 3]
-    if not special:
+    inside = [(i, j, m) for i, j, m in d.edges if i in comp and j in comp]
+    ends = [v for i, j, _ in inside for v in (i, j)]
+    if any(ends.count(v) == 3 for v in comp):
+        return ("D", k)
+    heavy = [(i, m) for i, _, m in inside if m > 3]
+    if not heavy:
         return ("A", k)
-    if len(special) > 1:
-        raise ValueError(f"nodes {comp} induce an unsupported multi-labelled chain")
-    pos, m = special[0]
-    at_end = pos in (0, k - 2)
-    if m == 4:
-        if at_end:
-            return ("BC", k)
-        if k == 4 and pos == 1:
-            return ("F4", 4)
-        raise ValueError(f"nodes {comp} induce an unsupported interior double bond")
-    if m == 5 and at_end and k <= 4:
+    [(i, m)] = heavy
+    if m == 5:
         return ("H", k)
-    raise ValueError(f"nodes {comp} induce an unrecognized diagram")
-
-
-def _classify_fork(d: Diagram, comp: list[int]) -> tuple[str, int]:
-    in_comp = set(comp)
-    degree = {v: sum(1 for nb in d.neighbors(v) if nb in in_comp) for v in comp}
-    forks = [v for v in comp if degree[v] == 3]
-    if len(forks) != 1 or any(deg > 3 for deg in degree.values()):
-        raise ValueError(f"nodes {comp} induce an unsupported branched diagram")
-    leaves_at_fork = sum(1 for nb in d.neighbors(forks[0]) if nb in in_comp and degree[nb] == 1)
-    labels_ok = all(
-        d.label(i, j) == 3 for i in comp for j in comp if i < j and d.label(i, j) > 2
-    )
-    if leaves_at_fork >= 2 and labels_ok and len(comp) >= 4:
-        return ("D", len(comp))
-    raise ValueError(f"nodes {comp} induce an unsupported branched diagram")
+    return ("BC", k) if i - comp[0] in (0, k - 2) else ("F4", 4)
 
 
 def classify_parabolic(d: Diagram, nodes: frozenset[int] | set[int]) -> list[tuple[str, int]]:
@@ -394,14 +336,7 @@ def classify_parabolic(d: Diagram, nodes: frozenset[int] | set[int]) -> list[tup
     nodes = frozenset(nodes)
     if not nodes <= set(d.nodes):
         raise ValueError(f"nodes {sorted(nodes)} outside 1..{d.rank}")
-    out = []
-    for comp in _components(d, nodes):
-        in_comp = set(comp)
-        branched = any(
-            sum(1 for nb in d.neighbors(v) if nb in in_comp) > 2 for v in comp
-        )
-        out.append(_classify_fork(d, comp) if branched else _classify_path(d, comp))
-    return out
+    return [_classify(d, comp) for comp in _components(d, nodes)]
 
 
 def parabolic_order(d: Diagram, nodes: frozenset[int] | set[int]) -> int:
@@ -418,10 +353,4 @@ def is_platonic_chain(d: Diagram) -> bool:
     Only such diagrams, seeded at an extreme node, produce polytopes with
     one symmetry class of face per dimension.
     """
-    if d.rank == 1:
-        return True
-    degrees = {i: len(d.neighbors(i)) for i in d.nodes}
-    if any(deg > 2 for deg in degrees.values()):
-        return False
-    # connected tree with max degree 2 and n-1 edges is a path
-    return len(d.edges) == d.rank - 1 and len(_components(d, frozenset(d.nodes))) == 1
+    return all(j == i + 1 for i, j, _ in d.edges)

@@ -79,6 +79,8 @@ def orbit(d: Diagram, seed: Point, generators) -> OrbitResult:
     Points come back in first-visit order with generators swept in
     ascending index, so the result is deterministic.
     """
+    if len(seed) != d.rank:
+        raise ValueError(f"seed of length {len(seed)} does not fit rank {d.rank}")
     gens = tuple(sorted(set(generators)))
     if any(i < 1 or i > d.rank for i in gens):
         raise ValueError(f"generators {gens} outside 1..{d.rank}")

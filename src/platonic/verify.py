@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from . import facelattice
 from .decoration import End, chain, dual_read
 from .diagram import (
+    ConsistencyError,
     Diagram,
     Family,
     build,
@@ -390,7 +391,10 @@ def run_check(number: int) -> CheckResult:
     num, title, limit, fn = _CHECKS[number - 1]
     result = CheckResult(number=num, title=title, limit_seconds=limit)
     start = time.perf_counter()
-    fn(result)
+    try:
+        fn(result)
+    except ConsistencyError as exc:
+        _expect(result, False, str(exc))
     result.seconds = time.perf_counter() - start
     if result.seconds > limit:
         result.passed = False

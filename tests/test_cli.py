@@ -5,7 +5,8 @@ Claims:
     - JSON output is canonical (load + re-dump is byte-identical)
     - bad names, non-chain diagrams and bad flags exit nonzero
     - importing the CLI leaves numpy unloaded; only ``export`` needs it
-    - a failed cross-check is an ``error:`` line and exit 1, not a traceback
+    - a failed cross-check is an ``error:`` line and exit 1, not a traceback;
+      inside ``verify`` it fails its own check and the battery runs on
     - ``verify`` passes under ``python -O``, which strips asserts
 """
 
@@ -15,6 +16,7 @@ import sys
 
 import pytest
 
+from platonic import verify
 from platonic.cli import canonical_json, main
 
 
@@ -197,6 +199,15 @@ class TestConsistency:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "counting gives" in err
+
+    def test_tampered_count_fails_its_check(self, capsys, tampered_face_count):
+        results = verify.run_all()
+        assert [r.number for r in results] == list(range(1, 10))
+        assert results[1].status == "FAIL"
+        assert "geometric enumeration found 4 faces, counting gives 5" in results[1].failures
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        assert "FAIL           2. " in out and "checks passed" in out
 
 
 class TestStartup:

@@ -2,21 +2,26 @@
 
 Claims:
     - builders produce the documented chains and the D fork, and reject
-      bad family/rank pairs and unknown names
+      bad family/rank pairs and unknown names; a hand-built diagram is
+      rejected unless its edges are its family's bonds
     - Cartan matrices follow the convention fixed by the orbit counts
       (octahedron from the first weight of B3), with exact golden entries
       on quintuple bonds
     - 4 cos^2(pi/m_ij) = C_ij C_ji holds exactly on every edge
-    - weight Gram matrices are symmetric positive definite
+    - weight Gram matrices are symmetric positive definite and equal
+      C^-1 A C^-T, rebuilt from the simple-root inner products
     - group orders and root counts match the classical values
-    - parabolic subsets classify componentwise with multiplicative orders
+    - parabolic subsets classify componentwise with multiplicative orders,
+      and every parabolic order is the orbit size of a regular point
 """
 
 from fractions import Fraction
 
 import pytest
 
-from conftest import all_diagrams, chain_diagrams
+from itertools import combinations
+
+from conftest import all_diagrams, chain_diagrams, matmul, transpose
 from platonic import (
     Diagram,
     DiagramError,
@@ -31,12 +36,34 @@ from platonic import (
     parse_name,
     root_count,
 )
-from platonic.diagram import matrix_determinant, matrix_inverse, matrix_multiply
+from platonic.diagram import _root_inner, _root_lengths_sq, matrix_inverse
+from platonic.orbit import as_point, orbit
 from platonic.qsqrt5 import GOLDEN, ONE, QSqrt5, ZERO
 
 
 def q(*values):
     return tuple(QSqrt5(v) for v in values)
+
+
+def matrix_determinant(x):
+    """Exact determinant by Gaussian elimination."""
+    n = len(x)
+    rows = [list(row) for row in x]
+    det = ONE
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col]
+        inv = rows[col][col].invert()
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                f = rows[r][col] * inv
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return det
 
 
 class TestBuild:
@@ -71,6 +98,15 @@ class TestBuild:
         for bad in ("Q9", "E6", "F5", "H9", "A", "3", "Bx"):
             with pytest.raises(DiagramError):
                 parse_name(bad)
+
+    def test_hand_built_diagram_checked(self):
+        assert Diagram(Family.H3, 3, ((1, 2, 3), (2, 3, 5))) == build(Family.H3, 3)
+        for family, rank, edges in ((Family.A, 3, ((1, 2, 5), (2, 3, 3))),
+                                    (Family.A, 0, ()),
+                                    (Family.B, 3, ((1, 2, 3),)),
+                                    (Family.D, 4, ((1, 2, 3), (2, 3, 3), (3, 4, 3)))):
+            with pytest.raises(DiagramError):
+                Diagram(family, rank, edges)
 
 
 class TestCartan:
@@ -137,9 +173,19 @@ class TestGram:
                 minor = tuple(row[:k] for row in g[:k])
                 assert matrix_determinant(minor).sign() == 1, (d.name, k)
 
+    def test_root_gram_oracle(self):
+        # the weight Gram as C^-1 A C^-T, A the Gram matrix of the simple roots
+        for d in all_diagrams(8):
+            lengths = _root_lengths_sq(d)
+            roots = tuple(
+                tuple(_root_inner(d, lengths, i, j) for j in d.nodes) for i in d.nodes
+            )
+            c_inv = matrix_inverse(cartan_matrix(d))
+            assert gram_matrix_weights(d) == matmul(matmul(c_inv, roots), transpose(c_inv)), d.name
+
     def test_inverse_helper(self):
         c = cartan_matrix(build(Family.H4, 4))
-        prod = matrix_multiply(c, matrix_inverse(c))
+        prod = matmul(c, matrix_inverse(c))
         identity = tuple(
             tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4)
         )
@@ -207,6 +253,18 @@ class TestParabolic:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             classify_parabolic(build(Family.A, 3), {0, 1})
+
+    def test_orders_are_regular_orbit_sizes(self):
+        # rho = (1, ..., 1) has a trivial stabilizer, so its orbit under the
+        # subgroup generated by S has exactly |W_S| points
+        subsets = 0
+        for d in all_diagrams(5):
+            rho = as_point((1,) * d.rank)
+            for k in range(d.rank + 1):
+                for nodes in combinations(d.nodes, k):
+                    assert parabolic_order(d, nodes) == orbit(d, rho, nodes).size, (d.name, nodes)
+                    subsets += 1
+        assert subsets == 274
 
 
 class TestChainPredicate:

@@ -122,6 +122,12 @@ class TestOrbit:
         with pytest.raises(ValueError):
             orbit(a2, fundamental_weight(a2, 1), (0, 1))
 
+    def test_seed_length_must_match_rank(self):
+        a3 = build(Family.A, 3)
+        for seed in ((1, 0), (1, 0, 0, 0)):
+            with pytest.raises(ValueError, match="does not fit rank 3"):
+                orbit(a3, as_point(seed), a3.nodes)
+
 
 class TestStabilizer:
     def test_h3(self):
