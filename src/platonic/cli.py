@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import cache
 
 from . import facelattice, verify
 from .decoration import DecorationError, End, chain
@@ -35,12 +37,7 @@ def _diagram_arg(name: str, rank: int | None):
     return parse_name(name)
 
 
-def _end_arg(value: str) -> End:
-    return End(value)
-
-
-def cmd_info(args) -> int:
-    d = _diagram_arg(args.diagram, args.n)
+def cmd_info(args, d, _end) -> int:
     payload = {
         "name": d.name,
         "family": d.family.value,
@@ -66,9 +63,7 @@ def _gens(nodes) -> str:
     return " ".join(f"r{i}" for i in sorted(nodes)) or "1"
 
 
-def cmd_faces(args) -> int:
-    d = _diagram_arg(args.diagram, args.n)
-    end = _end_arg(args.end)
+def cmd_faces(args, d, end) -> int:
     if args.json:
         print(canonical_json(facelattice.report(d, end)))
         return 0
@@ -84,9 +79,7 @@ def cmd_faces(args) -> int:
     return 0
 
 
-def cmd_meet(args) -> int:
-    d = _diagram_arg(args.diagram, args.n)
-    end = _end_arg(args.end)
+def cmd_meet(args, d, end) -> int:
     decs = chain(d, end)
     if not 0 <= args.c < args.d <= d.rank - 1:
         raise DecorationError(
@@ -116,9 +109,7 @@ def cmd_meet(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    d = _diagram_arg(args.diagram, args.n)
-    end = _end_arg(args.end)
+def cmd_enumerate(args, d, end) -> int:
     decs = chain(d, end)
     dims = [args.d] if args.d is not None else list(range(d.rank))
     classes = []
@@ -143,11 +134,9 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_export(args) -> int:
+def cmd_export(args, d, end) -> int:
     from . import export  # imports numpy, which no other verb needs
 
-    d = _diagram_arg(args.diagram, args.n)
-    end = _end_arg(args.end)
     fmt = args.format or ("off" if d.rank == 3 else "json")
     if fmt == "off":
         text = export.off_text(d, end)
@@ -162,7 +151,7 @@ def cmd_export(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, _d, _end) -> int:
     results = verify.run_all()
     if args.json:
         payload = [
@@ -196,7 +185,9 @@ def _add_common(sub, end: bool = True) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: the parser holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="platonic",
         description="Platonic polytopes from decorated reflection-group diagrams, "
@@ -240,10 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        d = _diagram_arg(args.diagram, args.n) if "diagram" in args else None
+        code = args.fn(args, d, End(args.end) if "end" in args else None)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader has gone; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (DiagramError, DecorationError, ConsistencyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .diagram import ConsistencyError, Diagram, is_platonic_chain
 
@@ -155,12 +156,14 @@ def step(d: Diagram, dec: Decoration) -> tuple[Decoration, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
 def chain(d: Diagram, end: End) -> tuple[Decoration, ...]:
     """The full recursion from the seed: one decoration per dimension 0..n-1.
 
     On a chain diagram the single-square recursion is deterministic: the
     square walks from the seed end to the far end, leaving filled marks
-    behind.
+    behind.  The recursion depends on nothing but ``(d, end)``, so each
+    pair runs once per process while it stays among the 256 most recent.
     """
     current = seed(d, end)
     out = [current]

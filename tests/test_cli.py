@@ -8,16 +8,20 @@ Claims:
     - a failed cross-check is an ``error:`` line and exit 1, not a traceback;
       inside ``verify`` it fails its own check and the battery runs on
     - ``verify`` passes under ``python -O``, which strips asserts
+    - a reader that closes the pipe early gets exit 1 and no ``error:`` line
+    - in one process, repeated requests answer as fresh ones do: the parser
+      and the decoration chains are built once and hold no per-call state
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from platonic import verify
-from platonic.cli import canonical_json, main
+from platonic import chain, verify
+from platonic.cli import build_parser, canonical_json, main
 
 
 def run(capsys, *argv):
@@ -228,3 +232,60 @@ class TestBadUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "A3"])
         assert exc.value.code == 2
+
+
+class TestClosedPipe:
+    # Buffered, a short output is first written by the flush at exit;
+    # unbuffered, each print meets the closed pipe.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("faces", "A24"), ("info", "A3")], ids="-".join)
+    def test_reader_gone_is_not_an_error(self, argv, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "platonic", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()  # before the child has started, so before it writes
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == ""  # no ``error:`` line, no traceback
+
+
+# One request of each verb and form, then a usage error (exit 2) and two
+# ``error:`` lines (exit 1): a bad rank flag and a diagram with no chain.
+WARM_STREAM = (
+    ("info", "H4"), ("info", "B", "--n", "5", "--json"),
+    ("faces", "A3", "right"), ("faces", "B4", "left", "--json"),
+    ("meet", "H4", "right", "--c", "1", "--d", "2"),
+    ("meet", "B3", "left", "--c", "0", "--d", "2", "--json"),
+    ("enumerate", "H3", "left", "--d", "1"), ("export", "B3", "right"),
+    ("faces", "A3", "up"), ("info", "B3", "--n", "3"), ("faces", "D4"),
+)
+
+
+def serve(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestWarmProcess:
+    def test_repeated_stream_answers_as_fresh_calls(self, capsys):
+        first = [serve(capsys, argv) for argv in WARM_STREAM]
+        second = [serve(capsys, argv) for argv in WARM_STREAM]
+        fresh = []
+        for argv in WARM_STREAM:
+            build_parser.cache_clear()
+            chain.cache_clear()
+            fresh.append(serve(capsys, argv))
+        assert [code for code, _, _ in first] == [0] * 8 + [2, 1, 1]
+        assert "invalid choice: 'up'" in first[8][2]
+        assert first[9][2].startswith("error: ") and first[10][2].startswith("error: ")
+        assert second == first
+        assert fresh == first
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()

@@ -7,7 +7,12 @@ Claims:
       k, k filled marks, one square and n-k-1 open marks
     - the general step branches over all squares and deduplicates
     - dual reading swaps the roles of open and filled marks
+    - the cached chain equals the uncached recursion, is one shared object
+      per (diagram, end), is bounded, and caches no error; locating a
+      decoration in the cached chains agrees with a linear search
 """
+
+import itertools
 
 import pytest
 
@@ -24,6 +29,7 @@ from platonic import (
     step,
     validate,
 )
+from platonic.facelattice import locate_in_chain
 from conftest import chain_diagrams
 
 
@@ -134,6 +140,36 @@ class TestChain:
             seq = chain(d, End.LEFT)
             for c in seq[:-1]:
                 assert len(step(d, c)) == 1
+
+
+class TestCachedChain:
+    def test_equals_uncached_recursion(self):
+        for d in chain_diagrams(24):  # every (diagram, end) of the queries stream
+            for end in (End.LEFT, End.RIGHT):
+                cached = chain(d, end)
+                assert cached == chain.__wrapped__(d, end)
+                assert chain(d, end) is cached
+
+    def test_bounded(self):
+        assert chain.cache_info().maxsize is not None
+
+    def test_error_raised_on_every_call(self):
+        d4 = build(Family.D, 4)
+        for _ in range(3):
+            with pytest.raises(DecorationError):
+                chain(d4, End.LEFT)
+
+    def test_locate_matches_linear_search(self):
+        for d in chain_diagrams(8):
+            chains = [(end, chain.__wrapped__(d, end)) for end in (End.LEFT, End.RIGHT)]
+            for symbols in itertools.product(tuple(Symbol), repeat=d.rank):
+                c = Decoration(symbols)
+                found = [(end, seq.index(c)) for end, seq in chains if c in seq]
+                try:
+                    located = locate_in_chain(d, c)
+                except DecorationError:
+                    located = None
+                assert located == (found[0] if found else None), c.text
 
 
 class TestDualRead:
