@@ -48,9 +48,7 @@ def _polygon_cycle(face_idx: list[int], coords: np.ndarray) -> list[int]:
     ordered = [i for _, i in sorted(zip(angles, face_idx))]
     # check the winding really is outward (Newell normal against centroid)
     ring = coords[ordered]
-    newell = np.zeros(3)
-    for a, b in zip(ring, np.roll(ring, -1, axis=0)):
-        newell += np.cross(a, b)
+    newell = np.cross(ring, np.roll(ring, -1, axis=0)).sum(axis=0)
     if np.dot(newell, center) < 0:  # pragma: no cover - defensive
         ordered.reverse()
     return ordered

@@ -6,16 +6,25 @@ the i-th fundamental weight.  In this basis the reflection through mirror
 seed stay exact and deduplicate by structural equality.  Orbit enumeration
 is a plain breadth-first closure with a deterministic generator sweep that
 also records how each generator permutes the points it visits.
+
+Inside the sweep, and only there, a point is a flat tuple of ints
+``(a_1, b_1, ..., a_n, b_n)`` with ``x_j = (a_j + b_j*phi)/R`` for the golden
+ratio ``phi`` and one common denominator ``R`` of the seed: every Cartan
+entry (2, -1, -2, -phi) lies in Z[phi], so reflections stay integral and the
+index dict hashes and compares plain ints.  Each point is turned back into
+``QSqrt5`` once, with one scalar per distinct ``(a, b)`` shared by every point
+of the orbit, and ``reflect`` checks the first step of every generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from math import lcm
 
 from .diagram import ConsistencyError, Diagram, cartan_matrix, gram_matrix_weights, group_order
-from .qsqrt5 import QSqrt5, ZERO
+from .qsqrt5 import QSqrt5, ZERO, _make
 
 Point = tuple[QSqrt5, ...]
 
@@ -60,6 +69,23 @@ def _sparse_rows(d: Diagram) -> tuple[tuple[tuple[int, QSqrt5], ...], ...]:
     )
 
 
+def _zphi(x: QSqrt5, scale: int) -> tuple[int, int]:
+    """``(a, b)`` with ``scale * x == a + b*phi``, as ``(p + q√5)/r == ((p - q) + 2q*phi)/r``."""
+    a, ra = divmod((x._p - x._q) * scale, x._r)
+    b, rb = divmod(2 * x._q * scale, x._r)
+    if ra or rb:
+        raise ConsistencyError(f"{x} times {scale} is not in Z[phi]")
+    return a, b
+
+
+@cache
+def _zphi_rows(d: Diagram) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """``_sparse_rows`` in Z[phi]: (0-based column, c, e) for the entry ``c + e*phi``."""
+    return tuple(
+        tuple((j, *_zphi(value, 1)) for j, value in row) for row in _sparse_rows(d)
+    )
+
+
 def reflect(d: Diagram, i: int, x: Point) -> Point:
     """Apply the reflection of node ``i`` (1-based): x - x_i * (row i of C)."""
     if not 1 <= i <= d.rank:
@@ -84,23 +110,58 @@ def orbit(d: Diagram, seed: Point, generators) -> OrbitResult:
     gens = tuple(sorted(set(generators)))
     if any(i < 1 or i > d.rank for i in gens):
         raise ValueError(f"generators {gens} outside 1..{d.rank}")
-    return _orbit(d, seed, gens)
+    return _orbit(d, as_point(seed), gens)
 
 
-@cache
+@lru_cache(maxsize=256)
 def _orbit(d: Diagram, seed: Point, gens: tuple[int, ...]) -> OrbitResult:
-    index = {seed: 0}
-    order = [seed]
+    scale = lcm(*(x._r for x in seed))
+    start = tuple(n for x in seed for n in _zphi(x, scale))
+    rows = _zphi_rows(d)
+    # per generator: flat position of x_i, then (flat position of x_j, c, e) per entry
+    steps = [(2 * i - 2, [(2 * j, c, e) for j, c, e in rows[i - 1]]) for i in gens]
+    limit = group_order(d)
+    index = {start: 0}
+    order = [start]
     perms = tuple([] for _ in gens)
     for x in order:  # grows while swept: first-in, first-out
-        for i, perm in zip(gens, perms):
-            y = reflect(d, i, x)
+        for (at, row), perm in zip(steps, perms):
+            a, b = x[at], x[at + 1]
+            if a or b:
+                # y_j = x_j - x_i C_ij, where phi^2 = phi + 1 gives
+                # (a + b phi)(c + e phi) = (ac + be) + (ae + bc + be) phi
+                y = list(x)
+                for j, c, e in row:
+                    y[j] -= a * c + b * e
+                    y[j + 1] -= a * e + b * c + b * e
+                y = tuple(y)
+            else:
+                y = x
             k = index.get(y)
             if k is None:
                 k = index[y] = len(order)
+                if k == limit:
+                    raise ConsistencyError(f"orbit in {d.name} outgrows |W| = {limit}")
                 order.append(y)
             perm.append(k)
-    return OrbitResult(tuple(order), seed, frozenset(gens), tuple(map(tuple, perms)))
+    scalars = {}
+    for key, x in zip(zip(start[::2], start[1::2]), seed):
+        scalars.setdefault(key, x)
+    points = [seed]
+    for y in order[1:]:
+        coords = []
+        for key in zip(y[::2], y[1::2]):
+            x = scalars.get(key)
+            if x is None:
+                a, b = key
+                x = scalars[key] = _make(2 * a + b, b, 2 * scale)
+            coords.append(x)
+        points.append(tuple(coords))
+    for i, perm in zip(gens, perms):
+        if reflect(d, i, seed) != points[perm[0]]:
+            raise ConsistencyError(
+                f"orbit sweep in {d.name} disagrees with reflect at node {i}")
+    return OrbitResult(tuple(points), seed, frozenset(gens), tuple(map(tuple, perms)))
 
 
 def stabilizer_order_of_point(d: Diagram, seed: Point) -> int:

@@ -8,19 +8,28 @@ Claims:
       the group order
     - a point with all coordinates positive has a free orbit
     - the inner product matches the Gram matrix and is reflection-invariant
+    - the integer sweep returns the points and permutations of a sweep by
+      ``reflect`` alone, and a wrong Cartan row fails fast instead of hanging
 """
 
+import importlib
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import all_diagrams, chain_diagrams, matmul, reflection_matrix, transpose
 from platonic import (
+    ConsistencyError,
+    End,
     Family,
     as_point,
     build,
     cartan_matrix,
+    chain,
     fundamental_weight,
     gram_matrix_weights,
     group_order,
@@ -32,8 +41,27 @@ from platonic import (
     reflect,
     stabilizer_order_of_point,
 )
+from platonic.facelattice import seed_point
 from platonic.orbit import random_point
 from platonic.qsqrt5 import QSqrt5, ZERO
+
+orbit_module = importlib.import_module("platonic.orbit")  # ``platonic.orbit`` is the function
+
+
+def reflect_sweep(d, seed, gens):
+    """The breadth-first sweep by ``reflect`` alone: the oracle for ``orbit``."""
+    index = {seed: 0}
+    order = [seed]
+    perms = tuple([] for _ in gens)
+    for x in order:
+        for i, perm in zip(gens, perms):
+            y = reflect(d, i, x)
+            k = index.get(y)
+            if k is None:
+                k = index[y] = len(order)
+                order.append(y)
+            perm.append(k)
+    return tuple(order), tuple(map(tuple, perms))
 
 
 class TestReflect:
@@ -127,6 +155,106 @@ class TestOrbit:
         for seed in ((1, 0), (1, 0, 0, 0)):
             with pytest.raises(ValueError, match="does not fit rank 3"):
                 orbit(a3, as_point(seed), a3.nodes)
+
+
+class TestIntegerSweep:
+    def check(self, d, seed, gens):
+        res = orbit(d, seed, gens)
+        assert (res.points, res.perms) == reflect_sweep(d, seed, tuple(sorted(gens))), (
+            d.name, seed, gens)
+        return res
+
+    def test_every_diagram_both_ends(self):
+        chains = set(chain_diagrams(8))
+        for d in all_diagrams(8):
+            for end in End:
+                seed = seed_point(d, end)
+                res = self.check(d, seed, d.nodes)
+                # past the seed, one scalar object per value in the whole orbit
+                scalars = [x for p in res.points[1:] for x in p]
+                assert len({id(x) for x in scalars}) == len(set(scalars)), d.name
+                if d in chains:
+                    for dec in chain(d, end):
+                        self.check(d, seed, dec.filled_nodes)
+
+    def test_random_seeds(self):
+        rng = random.Random(20261018)
+        diagrams = [d for d in all_diagrams(3) if d.rank <= 3]
+        diagrams += [parse_name("A4"), parse_name("B4")]
+        for d in diagrams:
+            for golden in (True, False):
+                for _ in range(3):
+                    self.check(d, random_point(d, rng, golden_part=golden), d.nodes)
+
+    def test_plain_rational_seed(self):
+        b3 = build(Family.B, 3)
+        seed = (1, Fraction(1, 2), 0)
+        assert orbit(b3, seed, b3.nodes).points == orbit(b3, as_point(seed), b3.nodes).points
+
+    def test_denominator_not_a_power_of_two(self):
+        for name in ("B3", "H3"):
+            d = parse_name(name)
+            seed = as_point((QSqrt5(Fraction(1, 3), Fraction(1, 6)), Fraction(2, 5), 0))
+            assert self.check(d, seed, d.nodes).size == group_order(d) // 2
+
+
+@pytest.fixture
+def corrupt_row(monkeypatch):
+    """Replace one entry of one diagram's Z[phi] Cartan rows, orbit cache emptied around it."""
+    real = orbit_module._zphi_rows
+
+    def corrupt(name, row, col, entry):
+        target = parse_name(name)
+
+        def rows(d):
+            table = real(d)
+            if d != target:
+                return table
+            fixed = tuple((j, *entry) if j == col else (j, c, e) for j, c, e in table[row])
+            return table[:row] + (fixed,) + table[row + 1:]
+
+        monkeypatch.setattr(orbit_module, "_zphi_rows", rows)
+        orbit_module._orbit.cache_clear()
+        return target
+
+    yield corrupt
+    orbit_module._orbit.cache_clear()
+
+
+class TestCorruptRows:
+    def test_infinite_group_stops_at_group_order(self, corrupt_row):
+        # C_12 = -3 makes A3 the affine group of type G2~: the orbit never closes
+        a3 = corrupt_row("A3", 0, 1, (-3, 0))
+        start = time.perf_counter()
+        with pytest.raises(ConsistencyError, match=r"outgrows \|W\| = 24"):
+            orbit(a3, fundamental_weight(a3, 1), a3.nodes)
+        assert time.perf_counter() - start < 1.0
+
+    def test_finite_wrong_group_fails_reflect_check(self, corrupt_row):
+        # C_23 = -1 turns the rows of B3 into those of A3, a finite group
+        b3 = corrupt_row("B3", 1, 2, (-1, 0))
+        with pytest.raises(ConsistencyError, match="disagrees with reflect at node 2"):
+            orbit(b3, as_point((1, 1, 1)), b3.nodes)
+
+    def test_infinite_group_stops_under_optimize(self):
+        code = (
+            "import importlib, sys\n"
+            "from platonic import ConsistencyError, fundamental_weight, parse_name\n"
+            "if __debug__:\n"
+            "    sys.exit('not running under -O')\n"
+            "m = importlib.import_module('platonic.orbit')\n"
+            "a3 = parse_name('A3')\n"
+            "rows = m._zphi_rows(a3)\n"
+            "m._zphi_rows = lambda d: (((0, 2, 0), (1, -3, 0)),) + rows[1:]\n"
+            "try:\n"
+            "    m.orbit(a3, fundamental_weight(a3, 1), a3.nodes)\n"
+            "except ConsistencyError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStabilizer:
