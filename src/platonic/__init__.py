@@ -47,18 +47,13 @@ from .orbit import (
     stabilizer_order_of_point,
 )
 from .facelattice import (
-    FaceClass,
     enumerate_faces,
     euler_sum,
-    face_class,
     face_count,
-    face_stabilizer_nodes,
     face_table,
     incidence_count,
-    intersection_symmetry_nodes,
     meeting_note,
     polytope_name,
-    realize_representative,
     report,
     stabilizer_ratio,
 )
@@ -74,9 +69,7 @@ __all__ = [
     "seed", "step", "validate",
     "OrbitResult", "Point", "as_point", "fundamental_weight", "inner",
     "norm_sq", "orbit", "point_sub", "reflect", "stabilizer_order_of_point",
-    "FaceClass", "enumerate_faces", "euler_sum", "face_class", "face_count",
-    "face_stabilizer_nodes", "face_table", "incidence_count",
-    "intersection_symmetry_nodes", "meeting_note", "polytope_name",
-    "realize_representative", "report", "stabilizer_ratio",
+    "enumerate_faces", "euler_sum", "face_count", "face_table", "incidence_count",
+    "meeting_note", "polytope_name", "report", "stabilizer_ratio",
     "__version__",
 ]

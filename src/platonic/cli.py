@@ -71,10 +71,10 @@ def cmd_faces(args, d, end) -> int:
     print(f"{d.name} ({end.value} seed): {name}")
     print(f"{'face':<{d.rank + 2}} {'d':>2} {'v':>2}  {'G_f':<12} {'G_s':<12} {'count':>7}")
     for dec in chain(d, end):
-        fc = facelattice.face_class(d, dec)
+        count = facelattice.face_count(d, dec)
         print(
-            f"{dec.pretty:<{d.rank + 2}} {fc.dimension:>2} {fc.dual_dimension:>2}  "
-            f"{_gens(fc.face_nodes):<12} {_gens(fc.stab_nodes):<12} {fc.count:>7}"
+            f"{dec.pretty:<{d.rank + 2}} {dec.dimension:>2} {dec.dual_dimension:>2}  "
+            f"{_gens(dec.filled_nodes):<12} {_gens(dec.open_nodes):<12} {count:>7}"
         )
     return 0
 

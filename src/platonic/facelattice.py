@@ -1,24 +1,22 @@
-"""Face classes of Platonic polytopes: counts, realization and incidence.
+"""Face classes of Platonic polytopes: counts, enumeration and incidence.
 
-A face class is one decoration of the chain recursion together with its
-derived data: the face dimension, the node sets generating the face's own
-symmetry group and its pointwise stabilizer, and the class size
+A face class is one decoration of the chain recursion: its filled nodes
+generate the face's own symmetry group, its open nodes the pointwise
+stabilizer, and the class size is
 
     count = |W| / (|stabilizer parabolic| * |face parabolic|).
 
-Every counting statement here has a geometric counterpart: faces are
-realized as vertex sets (the orbit of the seed vertex under the face's
-generators) and whole classes are enumerated by a breadth-first closure
-on vertex sets.  A vertex set is a sorted tuple of indices into the exact
-vertex orbit, on which each reflection acts by the permutation that the
-orbit sweep records.
+Every counting statement here has a geometric counterpart: a face is the
+orbit of the seed vertex under the face's generators, and whole classes
+are enumerated by a breadth-first closure on vertex sets.  A vertex set
+is a sorted tuple of indices into the exact vertex orbit, on which each
+reflection acts by the permutation that the orbit sweep records.
 The two routes are kept independent so one can check the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from .decoration import Decoration, DecorationError, End, chain, validate
 from .diagram import (ConsistencyError, Diagram, Family, group_order, is_platonic_chain,
@@ -29,29 +27,13 @@ from .orbit import Point, fundamental_weight, orbit, reflect  # noqa: F401
 Face = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FaceClass:
-    """One symmetry class of faces, as read from a decoration."""
-
-    decoration: Decoration
-    dimension: int
-    face_nodes: frozenset[int]
-    stab_nodes: frozenset[int]
-    count: int
-    dual_dimension: int
-
-
-def _require_chain(d: Diagram) -> None:
+def face_count(d: Diagram, dec: Decoration) -> int:
+    """Number of faces in the class of ``dec``: |W| over both parabolic orders."""
     if not is_platonic_chain(d):
         raise DecorationError(
             f"{d.name} is not a branch-free chain; its polytopes have several "
             "orbits of faces and are not handled here"
         )
-
-
-def face_count(d: Diagram, dec: Decoration) -> int:
-    """Number of faces in the class of ``dec``: |W| over both parabolic orders."""
-    _require_chain(d)
     if not validate(d, dec):
         raise DecorationError(f"invalid decoration {dec.text} for {d.name}")
     total = group_order(d)
@@ -61,36 +43,23 @@ def face_count(d: Diagram, dec: Decoration) -> int:
     return total // denom
 
 
-def face_class(d: Diagram, dec: Decoration) -> FaceClass:
-    return FaceClass(
-        decoration=dec,
-        dimension=dec.dimension,
-        face_nodes=dec.filled_nodes,
-        stab_nodes=dec.open_nodes,
-        count=face_count(d, dec),
-        dual_dimension=dec.dual_dimension,
-    )
-
-
-def face_table(d: Diagram) -> tuple[FaceClass, ...]:
-    """All 2n face classes, alternating left/right seeds per dimension.
+def face_table(d: Diagram) -> tuple[Decoration, ...]:
+    """The decorations of all 2n face classes, alternating left/right seeds.
 
     Row order matches the conventional tables: for each dimension first
     the left-seeded class, then the right-seeded (dual) one.
     """
-    _require_chain(d)
     left = chain(d, End.LEFT)
     right = chain(d, End.RIGHT)
     rows = []
     for k in range(d.rank):
-        rows.append(face_class(d, left[k]))
-        rows.append(face_class(d, right[k]))
+        rows.append(left[k])
+        rows.append(right[k])
     return tuple(rows)
 
 
 def locate_in_chain(d: Diagram, dec: Decoration) -> tuple[End, int]:
     """Which chain (seed end) and dimension a decoration belongs to."""
-    _require_chain(d)
     for end in (End.LEFT, End.RIGHT):
         seq = chain(d, end)
         if dec in seq:
@@ -122,20 +91,6 @@ def stabilizer_ratio(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> int:
     if num % den:
         raise ConsistencyError(f"non-integral stabilizer ratio {num}/{den}")
     return num // den
-
-
-def intersection_symmetry_nodes(dec_k: Decoration, dec_j: Decoration) -> frozenset[int]:
-    """Generators of the symmetry group of the intersection of two faces.
-
-    The filled node sets of chain decorations are nested, so this is the
-    smaller face's filled set.
-    """
-    return dec_k.filled_nodes & dec_j.filled_nodes
-
-
-def face_stabilizer_nodes(dec: Decoration) -> frozenset[int]:
-    """Generators of the setwise stabilizer of a face: open and filled nodes."""
-    return dec.filled_nodes | dec.open_nodes
 
 
 def seed_point(d: Diagram, end: End) -> Point:
@@ -170,14 +125,7 @@ def _representative(perms, dec: Decoration) -> Face:
     return tuple(v for (v,) in _closure((0,), [perms[i - 1] for i in dec.filled_nodes]))
 
 
-def realize_representative(d: Diagram, dec: Decoration) -> tuple[Point, ...]:
-    """One concrete face of the class: seed-vertex orbit under the face group."""
-    end, _ = locate_in_chain(d, dec)
-    points, perms = vertex_table(d, end)
-    return tuple(sorted(points[v] for v in _representative(perms, dec)))
-
-
-@cache
+@lru_cache(maxsize=256)
 def enumerate_faces(d: Diagram, dec: Decoration) -> tuple[Face, ...]:
     """Every face of the class, via breadth-first closure on vertex sets.
 
@@ -265,14 +213,13 @@ def report(d: Diagram, end: End) -> dict:
     decs = chain(d, end)
     rows = []
     for dec in decs:
-        fc = face_class(d, dec)
         rows.append({
             "decoration": dec.text,
-            "d": fc.dimension,
-            "v": fc.dual_dimension,
-            "face_nodes": sorted(fc.face_nodes),
-            "stab_nodes": sorted(fc.stab_nodes),
-            "count": fc.count,
+            "d": dec.dimension,
+            "v": dec.dual_dimension,
+            "face_nodes": sorted(dec.filled_nodes),
+            "stab_nodes": sorted(dec.open_nodes),
+            "count": face_count(d, dec),
         })
     meets = []
     for k in range(1, d.rank):

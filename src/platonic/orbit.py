@@ -52,7 +52,6 @@ class OrbitResult:
 
     points: tuple[Point, ...]
     seed: Point
-    generators: frozenset[int]
     perms: tuple[tuple[int, ...], ...]
 
     @property
@@ -161,7 +160,7 @@ def _orbit(d: Diagram, seed: Point, gens: tuple[int, ...]) -> OrbitResult:
         if reflect(d, i, seed) != points[perm[0]]:
             raise ConsistencyError(
                 f"orbit sweep in {d.name} disagrees with reflect at node {i}")
-    return OrbitResult(tuple(points), seed, frozenset(gens), tuple(map(tuple, perms)))
+    return OrbitResult(tuple(points), seed, tuple(map(tuple, perms)))
 
 
 def stabilizer_order_of_point(d: Diagram, seed: Point) -> int:

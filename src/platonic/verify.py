@@ -114,33 +114,16 @@ def _all_diagrams(max_rank: int = 8) -> list[Diagram]:
 
 def check_orders_and_roots(result: CheckResult) -> None:
     """Group orders and root counts across all families."""
-    for n in range(1, 9):
-        d = build(Family.A, n)
-        _expect(result, group_order(d) == ORDERS_A[n - 1],
-                f"|W(A{n})|: expected {ORDERS_A[n - 1]}, got {group_order(d)}")
-        _expect(result, root_count(d) == ROOTS_A[n - 1],
-                f"roots(A{n}): expected {ROOTS_A[n - 1]}, got {root_count(d)}")
-    for fam in (Family.B, Family.C):
-        for n in range(2, 9):
-            d = build(fam, n)
-            _expect(result, group_order(d) == ORDERS_BC[n - 2],
-                    f"|W({fam.value}{n})|: expected {ORDERS_BC[n - 2]}, got {group_order(d)}")
-            _expect(result, root_count(d) == ROOTS_BC[n - 2],
-                    f"roots({fam.value}{n}): expected {ROOTS_BC[n - 2]}, got {root_count(d)}")
-    for n in range(4, 9):
-        d = build(Family.D, n)
-        _expect(result, group_order(d) == ORDERS_D[n - 4],
-                f"|W(D{n})|: expected {ORDERS_D[n - 4]}, got {group_order(d)}")
-        _expect(result, root_count(d) == ROOTS_D[n - 4],
-                f"roots(D{n}): expected {ROOTS_D[n - 4]}, got {root_count(d)}")
-    for name, expected in ORDERS_EXC.items():
-        d = parse_name(name)
-        _expect(result, group_order(d) == expected,
-                f"|W({name})|: expected {expected}, got {group_order(d)}")
-    for name, expected in ROOTS_EXC.items():
-        d = parse_name(name)
-        _expect(result, root_count(d) == expected,
-                f"roots({name}): expected {expected}, got {root_count(d)}")
+    rows = [(build(Family.A, n), ORDERS_A[n - 1], ROOTS_A[n - 1]) for n in range(1, 9)]
+    rows += [(build(fam, n), ORDERS_BC[n - 2], ROOTS_BC[n - 2])
+             for fam in (Family.B, Family.C) for n in range(2, 9)]
+    rows += [(build(Family.D, n), ORDERS_D[n - 4], ROOTS_D[n - 4]) for n in range(4, 9)]
+    rows += [(parse_name(name), ORDERS_EXC[name], ROOTS_EXC[name]) for name in ORDERS_EXC]
+    for d, order, roots in rows:
+        _expect(result, group_order(d) == order,
+                f"|W({d.name})|: expected {order}, got {group_order(d)}")
+        _expect(result, root_count(d) == roots,
+                f"roots({d.name}): expected {roots}, got {root_count(d)}")
 
 
 # -- criteria 2 and 3 -----------------------------------------------------
@@ -148,14 +131,14 @@ def check_orders_and_roots(result: CheckResult) -> None:
 def _check_face_table(result: CheckResult, name: str, expected: tuple[int, ...]) -> None:
     d = parse_name(name)
     table = facelattice.face_table(d)
-    got = tuple(fc.count for fc in table)
+    got = tuple(facelattice.face_count(d, dec) for dec in table)
     _expect(result, got == expected,
             f"{name} face counts: expected {expected}, got {got}")
-    for fc in table:
-        enumerated = len(facelattice.enumerate_faces(d, fc.decoration))
-        _expect(result, enumerated == fc.count,
-                f"{name} {fc.decoration.text}: enumeration gives {enumerated}, "
-                f"count gives {fc.count}")
+    for dec, count in zip(table, got):
+        enumerated = len(facelattice.enumerate_faces(d, dec))
+        _expect(result, enumerated == count,
+                f"{name} {dec.text}: enumeration gives {enumerated}, "
+                f"count gives {count}")
 
 
 def check_face_counts_3d(result: CheckResult) -> None:
@@ -211,25 +194,15 @@ def _cube_count(n: int, k: int) -> int:
 def check_symbolic_counts(result: CheckResult) -> None:
     """Closed-form factorial counts against the decoration formula, n = 5..7."""
     for n in (5, 6, 7):
-        a = build(Family.A, n)
-        for end in (End.LEFT, End.RIGHT):
-            for k, dec in enumerate(chain(a, end)):
-                expected = _simplex_count(n, k)
-                got = facelattice.face_count(a, dec)
-                _expect(result, got == expected,
-                        f"A{n} {end.value} f{k}: expected {expected}, got {got}")
-        for fam in (Family.B, Family.C):
-            d = build(fam, n)
-            for k, dec in enumerate(chain(d, End.LEFT)):
-                expected = _cross_count(n, k)
-                got = facelattice.face_count(d, dec)
-                _expect(result, got == expected,
-                        f"{fam.value}{n} left f{k}: expected {expected}, got {got}")
-            for k, dec in enumerate(chain(d, End.RIGHT)):
-                expected = _cube_count(n, k)
-                got = facelattice.face_count(d, dec)
-                _expect(result, got == expected,
-                        f"{fam.value}{n} right f{k}: expected {expected}, got {got}")
+        rows = [(build(Family.A, n), _simplex_count, _simplex_count)]
+        rows += [(build(fam, n), _cross_count, _cube_count) for fam in (Family.B, Family.C)]
+        for d, left, right in rows:
+            for end, formula in ((End.LEFT, left), (End.RIGHT, right)):
+                for k, dec in enumerate(chain(d, end)):
+                    expected = formula(n, k)
+                    got = facelattice.face_count(d, dec)
+                    _expect(result, got == expected,
+                            f"{d.name} {end.value} f{k}: expected {expected}, got {got}")
 
 
 # -- criterion 6 ----------------------------------------------------------
@@ -312,8 +285,8 @@ def check_structural_properties(result: CheckResult) -> None:
                     f"A{n} mirror counts differ in dimension {k}")
     for n in range(2, 9):
         b, c = build(Family.B, n), build(Family.C, n)
-        counts_b = [fc.count for fc in facelattice.face_table(b)]
-        counts_c = [fc.count for fc in facelattice.face_table(c)]
+        counts_b = [facelattice.face_count(b, dec) for dec in facelattice.face_table(b)]
+        counts_c = [facelattice.face_count(c, dec) for dec in facelattice.face_table(c)]
         _expect(result, counts_b == counts_c,
                 f"B{n}/C{n} face tables differ: {counts_b} vs {counts_c}")
         left_b = [facelattice.face_count(b, dec) for dec in chain(b, End.LEFT)]
@@ -388,6 +361,8 @@ _CHECKS = (
 
 
 def run_check(number: int) -> CheckResult:
+    if not 1 <= number <= len(_CHECKS):
+        raise ValueError(f"no check number {number}; checks are 1..{len(_CHECKS)}")
     num, title, limit, fn = _CHECKS[number - 1]
     result = CheckResult(number=num, title=title, limit_seconds=limit)
     start = time.perf_counter()

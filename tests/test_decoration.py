@@ -4,12 +4,14 @@ Claims:
     - the grammar forbids open next to filled across any bond
     - seeds put one square at an extreme node of a chain
     - the single-square recursion is deterministic and produces, at step
-      k, k filled marks, one square and n-k-1 open marks
+      k, k filled marks, one square and n-k-1 open marks; the filled node
+      sets grow strictly along the chain, so each face lies in the next
     - the general step branches over all squares and deduplicates
     - dual reading swaps the roles of open and filled marks
     - the cached chain equals the uncached recursion, is one shared object
       per (diagram, end), is bounded, and caches no error; locating a
-      decoration in the cached chains agrees with a linear search
+      decoration in the cached chains agrees with a linear search; the
+      face cache is bounded too
 """
 
 import itertools
@@ -29,7 +31,7 @@ from platonic import (
     step,
     validate,
 )
-from platonic.facelattice import locate_in_chain
+from platonic.facelattice import enumerate_faces, locate_in_chain
 from conftest import chain_diagrams
 
 
@@ -126,6 +128,7 @@ class TestChain:
             for end in (End.LEFT, End.RIGHT):
                 seq = chain(d, end)
                 assert len(seq) == d.rank
+                assert all(a.filled_nodes < b.filled_nodes for a, b in zip(seq, seq[1:]))
                 for k, c in enumerate(seq):
                     assert validate(d, c)
                     assert c.dimension == k
@@ -152,6 +155,9 @@ class TestCachedChain:
 
     def test_bounded(self):
         assert chain.cache_info().maxsize is not None
+
+    def test_face_cache_bounded(self):
+        assert enumerate_faces.cache_info().maxsize is not None
 
     def test_error_raised_on_every_call(self):
         d4 = build(Family.D, 4)

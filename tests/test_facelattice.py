@@ -10,6 +10,8 @@ Claims:
     - Euler alternating sums, mirror/dual symmetries and edge-length
       uniformity hold across the supported range
     - index faces map back to the faces of the point-set enumeration
+    - the c-faces inside a representative d-face are counted by the
+      formula on the sub-diagram of its filled nodes (the paper's recursion)
     - a count that disagrees with the enumeration raises ConsistencyError,
       also under ``python -O``
 """
@@ -24,6 +26,7 @@ from platonic import (
     ConsistencyError,
     Decoration,
     DecorationError,
+    DiagramError,
     End,
     Family,
     as_point,
@@ -33,12 +36,10 @@ from platonic import (
     enumerate_faces,
     euler_sum,
     face_count,
-    face_stabilizer_nodes,
     face_table,
     fundamental_weight,
     group_order,
     incidence_count,
-    intersection_symmetry_nodes,
     meeting_note,
     norm_sq,
     orbit,
@@ -46,12 +47,12 @@ from platonic import (
     parse_name,
     point_sub,
     polytope_name,
-    realize_representative,
     reflect,
     report,
     stabilizer_ratio,
 )
-from platonic.facelattice import locate_in_chain, seed_point, vertex_table
+from platonic.diagram import _bonds
+from platonic.facelattice import _representative, locate_in_chain, seed_point, vertex_table
 
 
 def dec(text):
@@ -78,28 +79,30 @@ class TestFaceCount:
             face_count(build(Family.D, 4), dec("sooo"))
 
 
+def table_counts(d):
+    return [face_count(d, c) for c in face_table(d)]
+
+
 class TestFaceTable:
     def test_a3(self):
-        assert [fc.count for fc in face_table(parse_name("A3"))] == [4, 4, 6, 6, 4, 4]
+        assert table_counts(parse_name("A3")) == [4, 4, 6, 6, 4, 4]
 
     def test_b4(self):
-        assert [fc.count for fc in face_table(parse_name("B4"))] == [
-            8, 16, 24, 32, 32, 24, 16, 8,
-        ]
+        assert table_counts(parse_name("B4")) == [8, 16, 24, 32, 32, 24, 16, 8]
 
     def test_b5_first_row(self):
-        table = face_table(parse_name("B5"))
-        assert table[0].count == 10  # 2n vertices of the rank-5 cross-polytope
+        b5 = parse_name("B5")
+        assert face_count(b5, face_table(b5)[0]) == 10  # 2n vertices of the cross-polytope
 
     def test_row_structure(self):
         for d in chain_diagrams(6):
             table = face_table(d)
             assert len(table) == 2 * d.rank
+            assert table[0::2] == chain(d, End.LEFT)
+            assert table[1::2] == chain(d, End.RIGHT)
             for row in table:
                 assert row.dimension + row.dual_dimension == d.rank - 1
-                assert row.face_nodes == row.decoration.filled_nodes
-                assert row.stab_nodes == row.decoration.open_nodes
-                assert group_order(d) % row.count == 0
+                assert group_order(d) % face_count(d, row) == 0
 
 
 class TestStabilizerRatio:
@@ -143,39 +146,26 @@ class TestStabilizerRatio:
                         assert stabilizer_ratio(d, decs[c], decs[k]) == product
 
 
-class TestNodeSets:
-    def test_intersection_nested(self):
-        f1, f2 = dec("fsoo"), dec("ffso")
-        assert intersection_symmetry_nodes(f1, f2) == {1}
-
-    def test_vertex_trivial(self):
-        assert intersection_symmetry_nodes(dec("sooo"), dec("ffso")) == frozenset()
-
-    def test_idempotent(self):
-        d1 = dec("fso")
-        assert intersection_symmetry_nodes(d1, d1) == d1.filled_nodes
-
-    def test_face_stabilizer_nodes(self):
-        assert face_stabilizer_nodes(dec("fso")) == {1, 3}
-        assert face_stabilizer_nodes(dec("sooo")) == {2, 3, 4}
-        assert face_stabilizer_nodes(dec("ffs")) == {1, 2}
+def face_points(d, end, c):
+    """One face of the class of ``c``: the seed vertex's orbit under its filled nodes."""
+    return orbit(d, seed_point(d, end), c.filled_nodes).points
 
 
 class TestRealize:
     def test_a3_edge(self):
         a3 = parse_name("A3")
-        face = realize_representative(a3, chain(a3, End.LEFT)[1])
+        face = face_points(a3, End.LEFT, chain(a3, End.LEFT)[1])
         assert set(face) == {as_point((1, 0, 0)), as_point((-1, 1, 0))}
 
     def test_h3_triangle_and_pentagon(self):
         h3 = parse_name("H3")
-        assert len(realize_representative(h3, chain(h3, End.LEFT)[2])) == 3
-        assert len(realize_representative(h3, chain(h3, End.RIGHT)[2])) == 5
+        assert len(face_points(h3, End.LEFT, chain(h3, End.LEFT)[2])) == 3
+        assert len(face_points(h3, End.RIGHT, chain(h3, End.RIGHT)[2])) == 5
 
     def test_vertex_is_seed(self):
         for d in (parse_name("A4"), parse_name("H3")):
             for end in (End.LEFT, End.RIGHT):
-                face = realize_representative(d, chain(d, end)[0])
+                face = face_points(d, end, chain(d, end)[0])
                 assert face == (seed_point(d, end),)
 
     def test_size_is_orbit_of_seed_in_face_group(self):
@@ -189,7 +179,7 @@ class TestRealize:
                     expected = parabolic_order(d, c.filled_nodes) // parabolic_order(
                         d, c.filled_nodes - {seed_node}
                     )
-                    assert len(realize_representative(d, c)) == expected
+                    assert len(face_points(d, end, c)) == expected
 
     def test_locate(self):
         h4 = parse_name("H4")
@@ -265,6 +255,58 @@ class TestPointSetOracle:
                     for i, perm in zip(sorted(c.filled_nodes), res.perms):
                         assert [res.points[w] for w in perm] == [
                             reflect(d, i, p) for p in res.points], (d.name, c.text, i)
+
+
+def face_diagram(d, c, end):
+    """The diagram of a face of class ``c`` and the end its seed vertex sits at.
+
+    The filled nodes, relabelled 1..k in order, are matched against each
+    family's bonds; when they match only read backwards, the seed node
+    lands at the other end.
+    """
+    label = {node: k for k, node in enumerate(sorted(c.filled_nodes), 1)}
+    k = len(label)
+    edges = tuple(sorted((label[i], label[j], m) for i, j, m in d.edges
+                         if i in label and j in label))
+    flipped = tuple(sorted((k + 1 - j, k + 1 - i, m) for i, j, m in edges))
+    other = End.RIGHT if end is End.LEFT else End.LEFT
+    for family in Family:
+        try:
+            bonds = _bonds(family, k)
+        except DiagramError:
+            continue
+        if bonds == edges:
+            return build(family, k), end
+        if bonds == flipped:
+            return build(family, k), other
+    raise AssertionError(f"no family has the bonds {edges} of {d.name} {c.text}")
+
+
+class TestFacesOfFaces:
+    def test_octahedral_cells(self):
+        f4 = parse_name("F4")
+        for end in (End.LEFT, End.RIGHT):
+            sub, sub_end = face_diagram(f4, chain(f4, end)[3], end)
+            assert polytope_name(sub, sub_end) == "octahedron"
+        h4 = parse_name("H4")
+        sub, sub_end = face_diagram(h4, chain(h4, End.RIGHT)[3], End.RIGHT)
+        assert polytope_name(sub, sub_end) == "dodecahedron"
+
+    def test_faces_inside_a_face_are_counted_on_its_subdiagram(self):
+        # the paper's recursion: a d-face is the polytope of its filled nodes
+        for d in chain_diagrams(8):
+            for end in (End.LEFT, End.RIGHT):
+                decs = chain(d, end)
+                perms = vertex_table(d, end)[1]
+                for k in range(2, d.rank):
+                    face = set(_representative(perms, decs[k]))
+                    sub, sub_end = face_diagram(d, decs[k], end)
+                    sub_decs = chain(sub, sub_end)
+                    for c in range(k):
+                        inside = sum(1 for f in enumerate_faces(d, decs[c])
+                                     if face.issuperset(f))
+                        assert inside == face_count(sub, sub_decs[c]), (
+                            d.name, end, k, c)
 
 
 class TestConsistency:
@@ -380,7 +422,7 @@ class TestDuality:
     def test_bc_tables(self):
         for n in range(2, 9):
             b, c = build(Family.B, n), build(Family.C, n)
-            assert [f.count for f in face_table(b)] == [f.count for f in face_table(c)]
+            assert table_counts(b) == table_counts(c)
             left_b = [face_count(b, x) for x in chain(b, End.LEFT)]
             right_c = [face_count(c, x) for x in chain(c, End.RIGHT)]
             assert left_b == right_c[::-1]
