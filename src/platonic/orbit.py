@@ -3,9 +3,10 @@
 Points are tuples of exact scalars: coordinate ``i`` is the coefficient of
 the i-th fundamental weight.  In this basis the reflection through mirror
 ``i`` subtracts ``x_i`` times row i of the Cartan matrix, so orbits of any
-seed stay exact and deduplicate by structural equality.  Orbit enumeration
-is a plain breadth-first closure with a deterministic generator sweep that
-also records how each generator permutes the points it visits.
+seed stay exact and deduplicate by structural equality.  ``reflect``,
+``inner`` and ``random_point`` compute on the ints of ``QSqrt5``.  Orbit
+enumeration is a plain breadth-first closure with a deterministic generator
+sweep that also records how each generator permutes the points it visits.
 
 Inside the sweep, and only there, a point is a flat tuple of ints
 ``(a_1, b_1, ..., a_n, b_n)`` with ``x_j = (a_j + b_j*phi)/R`` for the golden
@@ -19,18 +20,17 @@ of the orbit, and ``reflect`` checks the first step of every generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, lru_cache
 from math import lcm
 
 from .diagram import ConsistencyError, Diagram, cartan_matrix, gram_matrix_weights, group_order
-from .qsqrt5 import QSqrt5, ZERO, _make
+from .qsqrt5 import QSqrt5, _make
 
 Point = tuple[QSqrt5, ...]
 
 
 def as_point(values) -> Point:
-    """Coerce a sequence of ints/Fractions/QSqrt5 into a point."""
+    """Coerce a sequence of ints/Fractions/QSqrt5 into a point, as ``reflect`` and ``inner`` do."""
     return tuple(v if isinstance(v, QSqrt5) else QSqrt5(v) for v in values)
 
 
@@ -60,41 +60,36 @@ class OrbitResult:
 
 
 @cache
-def _sparse_rows(d: Diagram) -> tuple[tuple[tuple[int, QSqrt5], ...], ...]:
-    """Nonzero Cartan entries per row, as (0-based column, value) pairs."""
-    cartan = cartan_matrix(d)
-    return tuple(
-        tuple((j, value) for j, value in enumerate(row) if value) for row in cartan
-    )
-
-
-def _zphi(x: QSqrt5, scale: int) -> tuple[int, int]:
-    """``(a, b)`` with ``scale * x == a + b*phi``, as ``(p + q√5)/r == ((p - q) + 2q*phi)/r``."""
-    a, ra = divmod((x._p - x._q) * scale, x._r)
-    b, rb = divmod(2 * x._q * scale, x._r)
-    if ra or rb:
-        raise ConsistencyError(f"{x} times {scale} is not in Z[phi]")
-    return a, b
+def _sparse_rows(d: Diagram) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """Nonzero Cartan entries per row, as (0-based column, p, q, r) for ``(p + q√5)/r``."""
+    return tuple(tuple((j, v._p, v._q, v._r) for j, v in enumerate(row) if v)
+                 for row in cartan_matrix(d))
 
 
 @cache
 def _zphi_rows(d: Diagram) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """``_sparse_rows`` in Z[phi]: (0-based column, c, e) for the entry ``c + e*phi``."""
-    return tuple(
-        tuple((j, *_zphi(value, 1)) for j, value in row) for row in _sparse_rows(d)
-    )
+    """``_sparse_rows`` in Z[phi]: (0-based column, c, e) with ``(p + q√5)/r == c + e*phi``."""
+    rows = _sparse_rows(d)
+    if any((p - q) % r or 2 * q % r for row in rows for _, p, q, r in row):
+        raise ConsistencyError(f"a Cartan entry of {d.name} is not in Z[phi]")
+    return tuple(tuple((j, (p - q) // r, 2 * q // r) for j, p, q, r in row) for row in rows)
 
 
 def reflect(d: Diagram, i: int, x: Point) -> Point:
     """Apply the reflection of node ``i`` (1-based): x - x_i * (row i of C)."""
     if not 1 <= i <= d.rank:
         raise ValueError(f"generators {(i,)} outside 1..{d.rank}")
-    xi = x[i - 1]
-    if not xi:
-        return x
-    coords = list(x)
-    for j, value in _sparse_rows(d)[i - 1]:
-        coords[j] = coords[j] - xi * value
+    row = _sparse_rows(d)[i - 1]
+    try:
+        a, b, s = x[i - 1]._p, x[i - 1]._q, x[i - 1]._r
+        coords = list(x)
+        for j, c, e, t in row:
+            # x_j - x_i C_ij, where x_i C_ij = (P + Q√5)/w
+            y, P, Q, w = coords[j], a * c + 5 * b * e, a * e + b * c, s * t
+            coords[j] = (_make(y._p - P, y._q - Q, w) if y._r == w
+                         else _make(y._p * w - P * y._r, y._q * w - Q * y._r, y._r * w))
+    except AttributeError:
+        return reflect(d, i, as_point(x))
     return tuple(coords)
 
 
@@ -112,10 +107,16 @@ def orbit(d: Diagram, seed: Point, generators) -> OrbitResult:
     return _orbit(d, as_point(seed), gens)
 
 
+def _pairs(x) -> tuple[tuple[tuple[int, int], ...], int]:
+    """``(((p_k, q_k), ...), r)`` with ``x_k == (p_k + q_k√5)/r`` for the least ``r``."""
+    r = lcm(*[v._r for v in x])
+    return tuple((v._p * (k := r // v._r), v._q * k) for v in x), r
+
+
 @lru_cache(maxsize=256)
 def _orbit(d: Diagram, seed: Point, gens: tuple[int, ...]) -> OrbitResult:
-    scale = lcm(*(x._r for x in seed))
-    start = tuple(n for x in seed for n in _zphi(x, scale))
+    pairs, scale = _pairs(seed)
+    start = tuple(n for p, q in pairs for n in (p - q, 2 * q))
     rows = _zphi_rows(d)
     # per generator: flat position of x_i, then (flat position of x_j, c, e) per entry
     steps = [(2 * i - 2, [(2 * j, c, e) for j, c, e in rows[i - 1]]) for i in gens]
@@ -172,20 +173,28 @@ def stabilizer_order_of_point(d: Diagram, seed: Point) -> int:
     return total // size
 
 
+@cache
+def _int_gram(d: Diagram) -> tuple[tuple[tuple[int, int], ...], int]:
+    """``_pairs`` of the weight Gram matrix, read row after row."""
+    return _pairs(sum(gram_matrix_weights(d), ()))
+
+
 def inner(d: Diagram, x: Point, y: Point) -> QSqrt5:
     """Euclidean inner product of two points via the weight Gram matrix."""
-    gram = gram_matrix_weights(d)
-    total = ZERO
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        row = gram[i]
-        acc = ZERO
-        for j, yj in enumerate(y):
-            if yj:
-                acc = acc + row[j] * yj
-        total = total + xi * acc
-    return total
+    try:
+        (xs, rx), (ys, ry) = _pairs(x), _pairs(y)
+    except AttributeError:
+        return inner(d, as_point(x), as_point(y))
+    gram, rg = _int_gram(d)
+    n, p, q = d.rank, 0, 0
+    for k, (a, b) in zip(range(0, n * n, n), xs):
+        u = v = 0  # (row i of G) . y, then times x_i, in Z[√5]
+        for (g, h), (c, e) in zip(gram[k:k + n], ys):
+            u += g * c + 5 * h * e
+            v += g * e + h * c
+        p += a * u + 5 * b * v
+        q += a * v + b * u
+    return _make(p, q, rg * rx * ry)
 
 
 def norm_sq(d: Diagram, x: Point) -> QSqrt5:
@@ -200,7 +209,7 @@ def random_point(d: Diagram, rng, *, golden_part: bool = True) -> Point:
     """
     coords = []
     for _ in d.nodes:
-        a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if golden_part else 0
-        coords.append(QSqrt5(a, b))
+        n1, d1 = rng.randint(-9, 9), rng.randint(1, 4)
+        n2, d2 = (rng.randint(-3, 3), rng.randint(1, 3)) if golden_part else (0, 1)
+        coords.append(_make(n1 * d2, n2 * d1, d1 * d2))
     return tuple(coords)

@@ -299,15 +299,14 @@ def check_structural_properties(result: CheckResult) -> None:
         for _ in range(200):
             x = random_point(d, rng)
             for i in d.nodes:
-                _expect(result, reflect(d, i, reflect(d, i, x)) == x,
-                        f"reflection {i} of {d.name} is not an involution")
+                if reflect(d, i, reflect(d, i, x)) != x:  # build the message only on failure
+                    _expect(result, False, f"reflection {i} of {d.name} is not an involution")
         for _ in range(10):
             x, y = random_point(d, rng), random_point(d, rng)
             base = inner(d, x, y)
             for i in d.nodes:
-                moved = inner(d, reflect(d, i, x), reflect(d, i, y))
-                _expect(result, moved == base,
-                        f"reflection {i} of {d.name} is not an isometry")
+                if inner(d, reflect(d, i, x), reflect(d, i, y)) != base:
+                    _expect(result, False, f"reflection {i} of {d.name} is not an isometry")
 
     # every edge of a polytope has one exact squared length
     for name in ("A3", "B3", "C3", "H3", "A4", "B4", "C4", "F4", "H4"):
@@ -354,7 +353,7 @@ _CHECKS = (
     (6, "meeting numbers of simplex, cross-polytope, hypercube at rank 5..8", 5.0,
      check_meeting_rows_general),
     (7, "tetrahedron vertex orbits as exact coordinates", 1.0, check_tetrahedron_vertices),
-    (8, "structural properties (Euler, duality, mirrors, isometry, ...)", 120.0,
+    (8, "structural properties (Euler, duality, mirrors, isometry, ...)", 10.0,
      check_structural_properties),
     (9, "flag count vs distinct-face count divergence", 5.0, check_flag_vs_face_divergence),
 )

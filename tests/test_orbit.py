@@ -10,6 +10,10 @@ Claims:
     - the inner product matches the Gram matrix and is reflection-invariant
     - the integer sweep returns the points and permutations of a sweep by
       ``reflect`` alone, and a wrong Cartan row fails fast instead of hanging
+    - ``reflect``, ``inner`` and ``random_point`` give the same canonical
+      ``(p, q, r)`` ints as the operator-based QSqrt5 routines and the
+      Fraction-based draw, so the verify sample is the same stream of points
+    - tuples of plain ints or Fractions are coerced to points, and floats raise
 """
 
 import importlib
@@ -43,7 +47,7 @@ from platonic import (
 )
 from platonic.facelattice import seed_point
 from platonic.orbit import random_point
-from platonic.qsqrt5 import QSqrt5, ZERO
+from platonic.qsqrt5 import GOLDEN, QSqrt5, ZERO
 
 orbit_module = importlib.import_module("platonic.orbit")  # ``platonic.orbit`` is the function
 
@@ -62,6 +66,47 @@ def reflect_sweep(d, seed, gens):
                 order.append(y)
             perm.append(k)
     return tuple(order), tuple(map(tuple, perms))
+
+
+def reference_reflect(d, i, x):
+    """Reflection by QSqrt5 operators, one scalar at a time: the oracle for ``reflect``."""
+    xi = x[i - 1]
+    if not xi:
+        return x
+    coords = list(x)
+    for j, value in enumerate(cartan_matrix(d)[i - 1]):
+        if value:
+            coords[j] = coords[j] - xi * value
+    return tuple(coords)
+
+
+def reference_inner(d, x, y):
+    """Inner product by QSqrt5 operators: the oracle for ``inner``."""
+    gram = gram_matrix_weights(d)
+    total = ZERO
+    for i, xi in enumerate(x):
+        acc = ZERO
+        for j, yj in enumerate(y):
+            acc = acc + gram[i][j] * yj
+        total = total + xi * acc
+    return total
+
+
+def reference_random_point(d, rng, *, golden_part=True):
+    """Coordinates built from Fractions: the oracle for ``random_point``."""
+    coords = []
+    for _ in d.nodes:
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if golden_part else 0
+        coords.append(QSqrt5(a, b))
+    return tuple(coords)
+
+
+def ints(value):
+    """The canonical ``(p, q, r)`` of a scalar, or a tuple of them for a point."""
+    if isinstance(value, QSqrt5):
+        return value._p, value._q, value._r
+    return tuple(map(ints, value))
 
 
 class TestReflect:
@@ -92,6 +137,27 @@ class TestReflect:
                 x = random_point(d, rng)
                 for i in d.nodes:
                     assert reflect(d, i, reflect(d, i, x)) == x
+
+    def test_plain_int_point(self):
+        a3 = build(Family.A, 3)
+        for x, image in (((1, 0, 0), (-1, 1, 0)), ((0, 1, 2), (0, 1, 2))):
+            got = reflect(a3, 1, x)
+            assert got == as_point(image)
+            assert all(type(v) is QSqrt5 for v in got), got
+
+    def test_fraction_point(self):
+        h4 = build(Family.H4, 4)
+        x = (Fraction(1, 2), Fraction(-2, 3), 1, 0)
+        for i in h4.nodes:
+            got = reflect(h4, i, x)
+            assert ints(got) == ints(reflect(h4, i, as_point(x)))
+            assert all(type(v) is QSqrt5 for v in got), got
+
+    def test_float_point_rejected(self):
+        a3 = build(Family.A, 3)
+        for x in ((1.0, 0, 0), (1, 0.5, 0), (0.0, 0, 0)):
+            with pytest.raises(TypeError):
+                reflect(a3, 1, x)
 
     def test_matrix_preserves_gram(self):
         # R^T G R == G proves the isometry for all points at once
@@ -289,6 +355,16 @@ class TestInner:
         zero = as_point((0, 0))
         assert inner(a2, fundamental_weight(a2, 1), zero) == ZERO
 
+    def test_plain_number_points(self):
+        b3 = build(Family.B, 3)
+        x, y = (1, Fraction(1, 2), 0), (Fraction(-3, 4), 2, 1)
+        got = inner(b3, x, y)
+        assert type(got) is QSqrt5
+        assert ints(got) == ints(inner(b3, as_point(x), as_point(y)))
+        assert ints(inner(b3, x, as_point(y))) == ints(got)
+        with pytest.raises(TypeError):
+            inner(b3, (1.0, 0, 0), y)
+
     def test_reflection_invariance_sampled(self):
         rng = random.Random(777)
         for d in chain_diagrams(5):
@@ -304,3 +380,58 @@ class TestInner:
         w1 = fundamental_weight(b3, 1)
         edge = point_sub(w1, reflect(b3, 1, w1))
         assert norm_sq(b3, edge) == QSqrt5(2)
+
+
+class TestExactKernels:
+    """The integer kernels against the operator-based references, compared as ``(p, q, r)``."""
+
+    def points(self, d, rng):
+        """Golden and rational points, each with one coordinate zeroed, and the zero point."""
+        out = [as_point((0,) * d.rank)]
+        for golden in (True, False):
+            for _ in range(3):
+                x = reference_random_point(d, rng, golden_part=golden)
+                out.append(x)
+                out += [x[:k] + (ZERO,) + x[k + 1:] for k in range(d.rank)]
+        out.append(tuple(GOLDEN * (k + 1) for k in range(d.rank)))
+        return out
+
+    def test_every_diagram(self):
+        rng = random.Random(20261018)
+        for d in all_diagrams(8):
+            points = self.points(d, rng)
+            for x in points:
+                for i in d.nodes:
+                    assert ints(reflect(d, i, x)) == ints(reference_reflect(d, i, x)), (
+                        d.name, i, x)
+            for x, y in zip(points, points[1:] + points[:1]):
+                assert ints(inner(d, x, y)) == ints(reference_inner(d, x, y)), (d.name, x, y)
+                assert ints(norm_sq(d, x)) == ints(reference_inner(d, x, x)), (d.name, x)
+
+    @pytest.mark.parametrize("golden", [True, False])
+    def test_random_point_draws(self, golden):
+        ours, theirs = random.Random(20261018), random.Random(20261018)
+        for d in all_diagrams(8):
+            for _ in range(20):
+                got = random_point(d, ours, golden_part=golden)
+                assert ints(got) == ints(reference_random_point(d, theirs, golden_part=golden))
+                assert ours.getstate() == theirs.getstate()
+
+    def test_verify_sample(self):
+        # the draws of verify's structural check: 200 involution points and 10
+        # isometry pairs per diagram, in this order, from one seeded stream
+        ours, theirs = random.Random(20240811), random.Random(20240811)
+        for d in all_diagrams(8):
+            sample = [random_point(d, ours) for _ in range(220)]
+            assert ints(sample) == ints([reference_random_point(d, theirs) for _ in range(220)])
+            assert ours.getstate() == theirs.getstate(), d.name
+            for k, x in enumerate(sample[:200]):
+                for i in d.nodes:
+                    once = reflect(d, i, x)
+                    assert ints(once) == ints(reference_reflect(d, i, x)), (d.name, k, i)
+                    assert ints(reflect(d, i, once)) == ints(x), (d.name, k, i)
+            for x, y in zip(sample[200::2], sample[201::2]):
+                assert ints(inner(d, x, y)) == ints(reference_inner(d, x, y)), d.name
+                for i in d.nodes:
+                    moved = reflect(d, i, x), reflect(d, i, y)
+                    assert ints(inner(d, *moved)) == ints(reference_inner(d, *moved)), (d.name, i)
