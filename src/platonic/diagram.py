@@ -64,6 +64,11 @@ class Diagram:
     def __post_init__(self) -> None:
         if self.edges != _bonds(self.family, self.rank):
             raise DiagramError(f"edges {self.edges} are not the bonds of {self.name}")
+        # every cache keyed by a diagram hashes it; the edges follow from these two
+        object.__setattr__(self, "_hash", hash((self.family.value, self.rank)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def name(self) -> str:

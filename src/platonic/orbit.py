@@ -12,9 +12,14 @@ Inside the sweep, and only there, a point is a flat tuple of ints
 ``(a_1, b_1, ..., a_n, b_n)`` with ``x_j = (a_j + b_j*phi)/R`` for the golden
 ratio ``phi`` and one common denominator ``R`` of the seed: every Cartan
 entry (2, -1, -2, -phi) lies in Z[phi], so reflections stay integral and the
-index dict hashes and compares plain ints.  Each point is turned back into
-``QSqrt5`` once, with one scalar per distinct ``(a, b)`` shared by every point
-of the orbit, and ``reflect`` checks the first step of every generator.
+index dict hashes and compares plain ints.  Every generator is an involution
+(its Cartan diagonal is 2, checked before the sweep), so when the sweep maps
+point ``v`` to ``k`` it records both ``perm[v] = k`` and ``perm[k] = v`` and
+skips that generator when it reaches ``k``: each pair of points a mirror swaps
+is reflected once.  Each point is turned back into ``QSqrt5`` in one ``map``
+over its ``(a, b)`` pairs, with one scalar per distinct pair shared by every
+point of the orbit, and ``reflect`` checks the first step of every generator.
+Points whose length is not the rank raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -42,7 +47,12 @@ def fundamental_weight(d: Diagram, i: int) -> Point:
 
 
 def point_sub(x: Point, y: Point) -> Point:
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(a - b for a, b in zip(x, y, strict=True))
+
+
+def _fits(d: Diagram, x, what: str = "point") -> None:
+    if len(x) != d.rank:
+        raise ValueError(f"{what} of length {len(x)} does not fit rank {d.rank}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +89,7 @@ def reflect(d: Diagram, i: int, x: Point) -> Point:
     """Apply the reflection of node ``i`` (1-based): x - x_i * (row i of C)."""
     if not 1 <= i <= d.rank:
         raise ValueError(f"generators {(i,)} outside 1..{d.rank}")
+    _fits(d, x)
     row = _sparse_rows(d)[i - 1]
     try:
         a, b, s = x[i - 1]._p, x[i - 1]._q, x[i - 1]._r
@@ -99,8 +110,7 @@ def orbit(d: Diagram, seed: Point, generators) -> OrbitResult:
     Points come back in first-visit order with generators swept in
     ascending index, so the result is deterministic.
     """
-    if len(seed) != d.rank:
-        raise ValueError(f"seed of length {len(seed)} does not fit rank {d.rank}")
+    _fits(d, seed, "seed")
     gens = tuple(sorted(set(generators)))
     if any(i < 1 or i > d.rank for i in gens):
         raise ValueError(f"generators {gens} outside 1..{d.rank}")
@@ -113,55 +123,69 @@ def _pairs(x) -> tuple[tuple[tuple[int, int], ...], int]:
     return tuple((v._p * (k := r // v._r), v._q * k) for v in x), r
 
 
+class _Scalars(dict):
+    """One orbit's ``QSqrt5`` per ``(a, b)``: a miss makes ``(a + b*phi)/R`` once."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = 2 * scale
+
+    def __missing__(self, key: tuple[int, int]) -> QSqrt5:
+        a, b = key
+        x = self[key] = _make(2 * a + b, b, self.scale)
+        return x
+
+
 @lru_cache(maxsize=256)
 def _orbit(d: Diagram, seed: Point, gens: tuple[int, ...]) -> OrbitResult:
     pairs, scale = _pairs(seed)
     start = tuple(n for p, q in pairs for n in (p - q, 2 * q))
     rows = _zphi_rows(d)
+    for i in gens:
+        if (i - 1, 2, 0) not in rows[i - 1]:
+            raise ConsistencyError(f"Cartan diagonal of {d.name} at node {i} is not 2")
     # per generator: flat position of x_i, then (flat position of x_j, c, e) per entry
     steps = [(2 * i - 2, [(2 * j, c, e) for j, c, e in rows[i - 1]]) for i in gens]
     limit = group_order(d)
     index = {start: 0}
     order = [start]
-    perms = tuple([] for _ in gens)
-    for x in order:  # grows while swept: first-in, first-out
+    # perm[k] is filled ahead of the sweep by k's partner, so the lists grow by doubling
+    perms = tuple([None] for _ in gens)
+    for v, x in enumerate(order):  # order grows while swept: first-in, first-out
         for (at, row), perm in zip(steps, perms):
+            if perm[v] is not None:
+                continue  # x is the image of an earlier point under this involution
             a, b = x[at], x[at + 1]
-            if a or b:
-                # y_j = x_j - x_i C_ij, where phi^2 = phi + 1 gives
-                # (a + b phi)(c + e phi) = (ac + be) + (ae + bc + be) phi
-                y = list(x)
-                for j, c, e in row:
-                    y[j] -= a * c + b * e
-                    y[j + 1] -= a * e + b * c + b * e
-                y = tuple(y)
-            else:
-                y = x
+            if not (a or b):
+                perm[v] = v
+                continue
+            # y_j = x_j - x_i C_ij, where phi^2 = phi + 1 gives
+            # (a + b phi)(c + e phi) = (ac + be) + (ae + bc + be) phi
+            y = list(x)
+            for j, c, e in row:
+                y[j] -= a * c + b * e
+                y[j + 1] -= a * e + b * c + b * e
+            y = tuple(y)
             k = index.get(y)
             if k is None:
                 k = index[y] = len(order)
                 if k == limit:
                     raise ConsistencyError(f"orbit in {d.name} outgrows |W| = {limit}")
                 order.append(y)
-            perm.append(k)
-    scalars = {}
+                if k == len(perm):
+                    for p in perms:
+                        p += [None] * k
+            perm[v], perm[k] = k, v
+    scalars = _Scalars(scale)
     for key, x in zip(zip(start[::2], start[1::2]), seed):
         scalars.setdefault(key, x)
-    points = [seed]
-    for y in order[1:]:
-        coords = []
-        for key in zip(y[::2], y[1::2]):
-            x = scalars.get(key)
-            if x is None:
-                a, b = key
-                x = scalars[key] = _make(2 * a + b, b, 2 * scale)
-            coords.append(x)
-        points.append(tuple(coords))
+    points = (seed, *[tuple(map(scalars.__getitem__, zip(y[::2], y[1::2]))) for y in order[1:]])
     for i, perm in zip(gens, perms):
         if reflect(d, i, seed) != points[perm[0]]:
             raise ConsistencyError(
                 f"orbit sweep in {d.name} disagrees with reflect at node {i}")
-    return OrbitResult(tuple(points), seed, tuple(map(tuple, perms)))
+    size = len(order)
+    return OrbitResult(points, seed, tuple(tuple(perm[:size]) for perm in perms))
 
 
 def stabilizer_order_of_point(d: Diagram, seed: Point) -> int:
@@ -181,6 +205,8 @@ def _int_gram(d: Diagram) -> tuple[tuple[tuple[int, int], ...], int]:
 
 def inner(d: Diagram, x: Point, y: Point) -> QSqrt5:
     """Euclidean inner product of two points via the weight Gram matrix."""
+    _fits(d, x)
+    _fits(d, y)
     try:
         (xs, rx), (ys, ry) = _pairs(x), _pairs(y)
     except AttributeError:

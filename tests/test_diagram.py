@@ -3,7 +3,8 @@
 Claims:
     - builders produce the documented chains and the D fork, and reject
       bad family/rank pairs and unknown names; a hand-built diagram is
-      rejected unless its edges are its family's bonds
+      rejected unless its edges are its family's bonds; equal diagrams hash
+      equal, so built, parsed and hand-built ones are the same dict key
     - Cartan matrices follow the convention fixed by the orbit counts
       (octahedron from the first weight of B3), with exact golden entries
       on quintuple bonds
@@ -107,6 +108,20 @@ class TestBuild:
                                     (Family.D, 4, ((1, 2, 3), (2, 3, 3), (3, 4, 3)))):
             with pytest.raises(DiagramError):
                 Diagram(family, rank, edges)
+
+    def test_hash_is_value_based(self):
+        diagrams = all_diagrams(8)
+        for d in diagrams:
+            # ``build`` is cached, so a hand-built twin is the other instance
+            built, parsed = build(d.family, d.rank), parse_name(d.name)
+            twin = Diagram(d.family, d.rank, d.edges)
+            assert twin is not built and twin == built == parsed, d.name
+            assert hash(twin) == hash(built) == hash(parsed), d.name
+            table = {built: d.name}
+            assert table[parsed] == table[twin] == d.name
+            table[twin] = "again"
+            assert table == {parsed: "again"}, d.name
+        assert len(set(diagrams)) == len(diagrams)
 
 
 class TestCartan:

@@ -9,7 +9,10 @@ Claims:
     - a point with all coordinates positive has a free orbit
     - the inner product matches the Gram matrix and is reflection-invariant
     - the integer sweep returns the points and permutations of a sweep by
-      ``reflect`` alone, and a wrong Cartan row fails fast instead of hanging
+      ``reflect`` alone under every generator subset, each permutation is an
+      involution, and a wrong Cartan row or diagonal fails fast instead of
+      hanging or pairing points wrongly
+    - points whose length is not the rank are rejected
     - ``reflect``, ``inner`` and ``random_point`` give the same canonical
       ``(p, q, r)`` ints as the operator-based QSqrt5 routines and the
       Fraction-based draw, so the verify sample is the same stream of points
@@ -22,6 +25,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -159,6 +163,12 @@ class TestReflect:
             with pytest.raises(TypeError):
                 reflect(a3, 1, x)
 
+    def test_wrong_length_rejected(self):
+        b3 = build(Family.B, 3)
+        for x in ((1, 0, 0, 9), (1, 0), as_point((1, 0, 0, 0))):
+            with pytest.raises(ValueError, match="length .* does not fit rank 3"):
+                reflect(b3, 1, x)
+
     def test_matrix_preserves_gram(self):
         # R^T G R == G proves the isometry for all points at once
         for d in all_diagrams(8):
@@ -228,6 +238,8 @@ class TestIntegerSweep:
         res = orbit(d, seed, gens)
         assert (res.points, res.perms) == reflect_sweep(d, seed, tuple(sorted(gens))), (
             d.name, seed, gens)
+        for perm in res.perms:
+            assert all(perm[k] == v for v, k in enumerate(perm)), (d.name, seed, gens)
         return res
 
     def test_every_diagram_both_ends(self):
@@ -251,6 +263,16 @@ class TestIntegerSweep:
             for golden in (True, False):
                 for _ in range(3):
                     self.check(d, random_point(d, rng, golden_part=golden), d.nodes)
+
+    def test_random_seeds_generator_subsets(self):
+        rng = random.Random(20261019)
+        diagrams = [d for d in all_diagrams(3) if d.rank <= 3]
+        diagrams += [parse_name(name) for name in ("A4", "B4", "D4")]
+        for d in diagrams:
+            for size in range(1, d.rank):
+                for gens in combinations(d.nodes, size):
+                    for golden in (True, False):
+                        self.check(d, random_point(d, rng, golden_part=golden), gens)
 
     def test_plain_rational_seed(self):
         b3 = build(Family.B, 3)
@@ -287,6 +309,32 @@ def corrupt_row(monkeypatch):
     orbit_module._orbit.cache_clear()
 
 
+def raises_under_optimize(rows, message):
+    """Run a full A3 orbit under ``python -O`` with ``_zphi_rows`` of A3 replaced by
+    ``rows`` (an expression in the real ``rows``): it must raise ConsistencyError
+    saying ``message``."""
+    code = (
+        "import importlib, sys\n"
+        "from platonic import ConsistencyError, fundamental_weight, parse_name\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "m = importlib.import_module('platonic.orbit')\n"
+        "a3 = parse_name('A3')\n"
+        "rows = m._zphi_rows(a3)\n"
+        f"m._zphi_rows = lambda d: {rows}\n"
+        "try:\n"
+        "    m.orbit(a3, fundamental_weight(a3, 1), a3.nodes)\n"
+        "except ConsistencyError as e:\n"
+        "    print(e)\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert message in proc.stdout
+
+
 class TestCorruptRows:
     def test_infinite_group_stops_at_group_order(self, corrupt_row):
         # C_12 = -3 makes A3 the affine group of type G2~: the orbit never closes
@@ -303,24 +351,19 @@ class TestCorruptRows:
             orbit(b3, as_point((1, 1, 1)), b3.nodes)
 
     def test_infinite_group_stops_under_optimize(self):
-        code = (
-            "import importlib, sys\n"
-            "from platonic import ConsistencyError, fundamental_weight, parse_name\n"
-            "if __debug__:\n"
-            "    sys.exit('not running under -O')\n"
-            "m = importlib.import_module('platonic.orbit')\n"
-            "a3 = parse_name('A3')\n"
-            "rows = m._zphi_rows(a3)\n"
-            "m._zphi_rows = lambda d: (((0, 2, 0), (1, -3, 0)),) + rows[1:]\n"
-            "try:\n"
-            "    m.orbit(a3, fundamental_weight(a3, 1), a3.nodes)\n"
-            "except ConsistencyError:\n"
-            "    sys.exit(0)\n"
-            "sys.exit(1)\n"
-        )
-        proc = subprocess.run([sys.executable, "-O", "-c", code],
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        raises_under_optimize("(((0, 2, 0), (1, -3, 0)),) + rows[1:]", "outgrows |W| = 24")
+
+    def test_wrong_diagonal_rejected(self, corrupt_row):
+        # C_22 = 3 makes s_2 not an involution, so pairing each point with its image
+        # under s_2 would be wrong; the seed w_1 has x_2 = 0, so reflect cannot tell
+        a3 = corrupt_row("A3", 1, 1, (3, 0))
+        with pytest.raises(ConsistencyError, match="diagonal of A3 at node 2"):
+            orbit(a3, fundamental_weight(a3, 1), a3.nodes)
+        assert orbit(a3, fundamental_weight(a3, 1), (1, 3)).size == 2
+
+    def test_wrong_diagonal_rejected_under_optimize(self):
+        raises_under_optimize("rows[:1] + (((0, -1, 0), (1, 3, 0), (2, -1, 0)),) + rows[2:]",
+                              "diagonal of A3 at node 2")
 
 
 class TestStabilizer:
@@ -374,6 +417,18 @@ class TestInner:
                 assert inner(d, y, x) == base
                 for i in d.nodes:
                     assert inner(d, reflect(d, i, x), reflect(d, i, y)) == base
+
+    def test_wrong_length_rejected(self):
+        b3 = build(Family.B, 3)
+        fits = as_point((1, 0, 0))
+        for x, y in (((1, 0), (1, 0)), ((1, 0), fits), (fits, (1, 0, 0, 0))):
+            with pytest.raises(ValueError, match="length .* does not fit rank 3"):
+                inner(b3, x, y)
+
+    def test_point_sub_lengths_must_match(self):
+        for x, y in (((1, 2, 3), (1, 2)), ((1, 2), (1, 2, 3))):
+            with pytest.raises(ValueError):
+                point_sub(as_point(x), as_point(y))
 
     def test_edge_length_of_octahedron(self):
         b3 = build(Family.B, 3)
