@@ -38,7 +38,7 @@ def _diagram_arg(name: str, rank: int | None):
 
 
 def cmd_info(args, d, _end) -> int:
-    payload = {
+    info = {
         "name": d.name,
         "family": d.family.value,
         "rank": d.rank,
@@ -47,15 +47,15 @@ def cmd_info(args, d, _end) -> int:
         "root_count": root_count(d),
         "platonic_chain": is_platonic_chain(d),
     }
+    # rendered whole first, so an error (|W| past the int-to-str limit) prints nothing
     if args.json:
-        print(canonical_json(payload))
-        return 0
-    print(f"{d.name}: rank {d.rank}, family {d.family.value}")
-    edges = ", ".join(f"{i}-{j} (m={m})" for i, j, m in d.edges) or "none"
-    print(f"  edges:        {edges}")
-    print(f"  group order:  {group_order(d)}")
-    print(f"  roots:        {root_count(d)}")
-    print(f"  chain:        {'yes' if is_platonic_chain(d) else 'no'}")
+        text = canonical_json(info)
+    else:
+        edges = ", ".join(f"{i}-{j} (m={m})" for i, j, m in d.edges) or "none"
+        text = (f"{d.name}: rank {d.rank}, family {d.family.value}\n  edges:        {edges}\n"
+                f"  group order:  {info['group_order']}\n  roots:        {info['root_count']}\n"
+                f"  chain:        {'yes' if info['platonic_chain'] else 'no'}")
+    print(text)
     return 0
 
 

@@ -132,9 +132,10 @@ def step(d: Diagram, dec: Decoration) -> tuple[Decoration, ...]:
     """All successors of a decoration under one recursion step.
 
     For each square: turn it into a filled mark and promote its open
-    neighbours to squares.  Successors are deduplicated and returned in
-    node order of the replaced square.  Raises when the decoration is
-    terminal (no open node left) or has no square to replace.
+    neighbours to squares.  Successors are returned in node order of the
+    replaced square; they are distinct, since two of them differ at the
+    square each one filled.  Raises when the decoration is terminal (no
+    open node left) or has no square to replace.
     """
     if not validate(d, dec):
         raise DecorationError(f"invalid decoration {dec.text} for {d.name}")
@@ -150,9 +151,7 @@ def step(d: Diagram, dec: Decoration) -> tuple[Decoration, ...]:
         for nb in d.neighbors(s):
             if symbols[nb - 1] is Symbol.OPEN:
                 symbols[nb - 1] = Symbol.SQUARE
-        succ = Decoration(tuple(symbols))
-        if succ not in out:
-            out.append(succ)
+        out.append(Decoration(tuple(symbols)))
     return tuple(out)
 
 

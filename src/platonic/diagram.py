@@ -186,39 +186,22 @@ def _root_lengths_sq(d: Diagram) -> tuple[Fraction, ...]:
     return tuple(Fraction(2) for _ in d.nodes)
 
 
-def _root_inner(d: Diagram, lengths: tuple[Fraction, ...], i: int, j: int) -> QSqrt5:
-    """Exact inner product of simple roots i and j (1-based)."""
-    if i == j:
-        return QSqrt5(lengths[i - 1])
-    m = d.label(i, j)
-    if m == 2:
-        return ZERO
-    li, lj = lengths[i - 1], lengths[j - 1]
-    if m == 3:
-        # equal lengths; -|a|^2 cos(pi/3)
-        return QSqrt5(-li * _HALF)
-    if m == 4:
-        # one long, one short: -sqrt(2)*1*cos(pi/4) = -1
-        return QSqrt5(-1)
-    # m == 5, equal length 2: -2 cos(pi/5) = -golden
-    return -GOLDEN
-
-
 @cache
 def cartan_matrix(d: Diagram) -> MatrixQ:
-    """Cartan matrix C with C_ij = 2 (a_i|a_j) / (a_j|a_j).
+    """Cartan matrix C with C_ij = 2 (a_i|a_j) / (a_j|a_j), read off the bonds.
 
-    Rows express the simple roots in the basis of fundamental weights.
+    A label-3 bond joins equal roots and gives -1 both ways, a label-5 bond
+    -golden; a label-4 bond has (a_i|a_j) = -1 between a long and a short
+    root, so -1 toward the long one and -2 toward the short one.  Rows
+    express the simple roots in the basis of fundamental weights.
     """
     lengths = _root_lengths_sq(d)
-    rows = []
-    for i in d.nodes:
-        row = []
-        for j in d.nodes:
-            prod = _root_inner(d, lengths, i, j)
-            row.append(prod * 2 * QSqrt5(Fraction(1) / lengths[j - 1]))
-        rows.append(tuple(row))
-    return tuple(rows)
+    rows = [[QSqrt5(2) if i == j else ZERO for j in d.nodes] for i in d.nodes]
+    for i, j, m in d.edges:
+        for a, b in ((i, j), (j, i)):
+            bond = -GOLDEN if m == 5 else QSqrt5(-2 / lengths[b - 1]) if m == 4 else -ONE
+            rows[a - 1][b - 1] = bond
+    return tuple(map(tuple, rows))
 
 
 @cache
@@ -255,42 +238,31 @@ def matrix_inverse(x: MatrixQ) -> MatrixQ:
 
 # -- orders and root counts ----------------------------------------------
 
-def _component_order(family: str, rank: int) -> int:
-    if family == "A":
-        return math.factorial(rank + 1)
-    if family == "BC":
-        return 2**rank * math.factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
-    if family == "F4":
-        return 1152
-    if family == "H":
-        return {2: 10, 3: 120, 4: 14400}[rank]
-    raise ValueError(f"unknown component family {family!r}")
+# (order, root count) of each irreducible type at rank n, keyed by the
+# names classify_parabolic gives its components
+_TYPES = {
+    "A": lambda n: (math.factorial(n + 1), n * (n + 1)),
+    "BC": lambda n: (2**n * math.factorial(n), 2 * n * n),
+    "D": lambda n: (2 ** (n - 1) * math.factorial(n), 2 * n * n - 2 * n),
+    "F4": lambda n: (1152, 48),
+    "H": lambda n: {2: (10, 10), 3: (120, 30), 4: (14400, 60)}[n],
+}
+
+
+def _type(family: Family) -> str:
+    """The irreducible type of a family's diagram, as named in ``_TYPES``."""
+    v = family.value
+    return "BC" if v in ("B", "C") else "H" if v[0] == "H" else v
 
 
 def group_order(d: Diagram) -> int:
     """Order of the reflection group of the diagram."""
-    if d.family in (Family.B, Family.C):
-        return _component_order("BC", d.rank)
-    if d.family in (Family.H2, Family.H3, Family.H4):
-        return _component_order("H", d.rank)
-    return _component_order(d.family.value, d.rank)
+    return _TYPES[_type(d.family)](d.rank)[0]
 
 
 def root_count(d: Diagram) -> int:
     """Number of nonzero roots of the associated root system."""
-    n = d.rank
-    return {
-        Family.A: lambda: n * (n + 1),
-        Family.B: lambda: 2 * n * n,
-        Family.C: lambda: 2 * n * n,
-        Family.D: lambda: 2 * n * n - 2 * n,
-        Family.F4: lambda: 48,
-        Family.H2: lambda: 10,
-        Family.H3: lambda: 30,
-        Family.H4: lambda: 60,
-    }[d.family]()
+    return _TYPES[_type(d.family)](d.rank)[1]
 
 
 # -- parabolic sub-diagrams ----------------------------------------------
@@ -348,7 +320,7 @@ def parabolic_order(d: Diagram, nodes: frozenset[int] | set[int]) -> int:
     """Order of the subgroup generated by the reflections in ``nodes``."""
     order = 1
     for family, rank in classify_parabolic(d, nodes):
-        order *= _component_order(family, rank)
+        order *= _TYPES[family](rank)[0]
     return order
 
 

@@ -83,19 +83,16 @@ class QSqrt5:
     __slots__ = ("_p", "_q", "_r", "_hash")
 
     def __init__(self, a: Rational = 0, b: Rational = 0):
-        if type(a) is int and type(b) is int:
-            p, q, r = a, b, 1
-        else:
-            if isinstance(a, float) or isinstance(b, float):
-                raise TypeError("QSqrt5 components must be exact (int or Fraction)")
-            if not isinstance(a, (int, Fraction)):
-                a = Fraction(a)
-            if not isinstance(b, (int, Fraction)):
-                b = Fraction(b)
-            # reduced a and b over their least common denominator are canonical
-            r = lcm(a.denominator, b.denominator)
-            p = a.numerator * (r // a.denominator)
-            q = b.numerator * (r // b.denominator)
+        if isinstance(a, float) or isinstance(b, float):
+            raise TypeError("QSqrt5 components must be exact (int or Fraction)")
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
+        if not isinstance(b, (int, Fraction)):
+            b = Fraction(b)
+        # reduced a and b over their least common denominator are canonical
+        r = lcm(a.denominator, b.denominator)
+        p = a.numerator * (r // a.denominator)
+        q = b.numerator * (r // b.denominator)
         self._p = p
         self._q = q
         self._r = r

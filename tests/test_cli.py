@@ -4,6 +4,8 @@ Claims:
     - every verb produces the documented output and exit codes
     - JSON output is canonical (load + re-dump is byte-identical)
     - bad names, non-chain diagrams and bad flags exit nonzero
+    - ``info`` on a group order past the int-to-str digit limit prints no
+      partial output: one ``error:`` line and exit 1
     - importing the CLI leaves numpy unloaded; only ``export`` needs it
     - a failed cross-check is an ``error:`` line and exit 1, not a traceback;
       inside ``verify`` it fails its own check and the battery runs on
@@ -14,6 +16,7 @@ Claims:
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +68,23 @@ class TestInfo:
     def test_conflicting_rank(self, capsys):
         code, _, err = run(capsys, "info", "B6", "--n", "7")
         assert code != 0
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_order_past_the_digit_limit_prints_nothing(self, capsys, flags):
+        # |W(A1700)| = 1701! has more digits than str() converts by default
+        assert math.lgamma(1702) / math.log(10) > 4300
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, "info", "A1700", *flags)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            code, out, _ = run(capsys, "info", "A1557", *flags)  # 1558! has 4300 digits
+            assert code == 0 and str(math.factorial(1558)) in out
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 class TestFaces:

@@ -6,7 +6,7 @@ Claims:
     - the single-square recursion is deterministic and produces, at step
       k, k filled marks, one square and n-k-1 open marks; the filled node
       sets grow strictly along the chain, so each face lies in the next
-    - the general step branches over all squares and deduplicates
+    - the general step branches over all squares into distinct successors
     - dual reading swaps the roles of open and filled marks
     - the cached chain equals the uncached recursion, is one shared object
       per (diagram, end), is bounded, and caches no error; locating a

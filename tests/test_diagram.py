@@ -9,8 +9,9 @@ Claims:
       (octahedron from the first weight of B3), with exact golden entries
       on quintuple bonds
     - 4 cos^2(pi/m_ij) = C_ij C_ji holds exactly on every edge
-    - weight Gram matrices are symmetric positive definite and equal
-      C^-1 A C^-T, rebuilt from the simple-root inner products
+    - weight Gram matrices are symmetric positive definite; C and the weight
+      Gram agree with the simple-root Gram matrix A built from the labels:
+      C = 2 A diag(l)^-1 and G = C^-1 A C^-T
     - group orders and root counts match the classical values
     - parabolic subsets classify componentwise with multiplicative orders,
       and every parabolic order is the orbit size of a regular point
@@ -37,7 +38,7 @@ from platonic import (
     parse_name,
     root_count,
 )
-from platonic.diagram import _root_inner, _root_lengths_sq, matrix_inverse
+from platonic.diagram import _root_lengths_sq, matrix_inverse
 from platonic.orbit import as_point, orbit
 from platonic.qsqrt5 import GOLDEN, ONE, QSqrt5, ZERO
 
@@ -189,13 +190,23 @@ class TestGram:
                 assert matrix_determinant(minor).sign() == 1, (d.name, k)
 
     def test_root_gram_oracle(self):
-        # the weight Gram as C^-1 A C^-T, A the Gram matrix of the simple roots
+        # A, the Gram matrix of the simple roots, built here from the labels:
+        # l_i on the diagonal, -l/2 at m = 3, -1 at m = 4 (one long root and
+        # one short), -golden at m = 5.  Then C = 2 A diag(l)^-1 and the
+        # weight Gram is C^-1 A C^-T.
+        off = {2: ZERO, 4: -ONE, 5: -GOLDEN}
         for d in all_diagrams(8):
             lengths = _root_lengths_sq(d)
             roots = tuple(
-                tuple(_root_inner(d, lengths, i, j) for j in d.nodes) for i in d.nodes
+                tuple(QSqrt5(lengths[i - 1]) if i == j
+                      else QSqrt5(-lengths[i - 1] / 2) if d.label(i, j) == 3
+                      else off[d.label(i, j)] for j in d.nodes)
+                for i in d.nodes
             )
-            c_inv = matrix_inverse(cartan_matrix(d))
+            c = cartan_matrix(d)
+            assert c == tuple(tuple(a * 2 / lengths[j] for j, a in enumerate(row))
+                              for row in roots), d.name
+            c_inv = matrix_inverse(c)
             assert gram_matrix_weights(d) == matmul(matmul(c_inv, roots), transpose(c_inv)), d.name
 
     def test_inverse_helper(self):

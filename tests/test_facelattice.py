@@ -12,6 +12,12 @@ Claims:
     - index faces map back to the faces of the point-set enumeration
     - the c-faces inside a representative d-face are counted by the
       formula on the sub-diagram of its filled nodes (the paper's recursion)
+    - the distinct k-faces around a c-face are counted by the formula on
+      the face figure, the sub-diagram of its open nodes seeded next to
+      its square
+    - the two seed ends give dual polytopes: facets of the left one map
+      equivariantly and bijectively onto vertices of the right one, and
+      the facets around each left k-face are a right (n-1-k)-face
     - a count that disagrees with the enumeration raises ConsistencyError,
       also under ``python -O``
 """
@@ -53,6 +59,7 @@ from platonic import (
 )
 from platonic.diagram import _bonds
 from platonic.facelattice import _representative, locate_in_chain, seed_point, vertex_table
+from platonic.qsqrt5 import ZERO
 
 
 def dec(text):
@@ -257,14 +264,16 @@ class TestPointSetOracle:
                             reflect(d, i, p) for p in res.points], (d.name, c.text, i)
 
 
-def face_diagram(d, c, end):
-    """The diagram of a face of class ``c`` and the end its seed vertex sits at.
+def face_diagram(d, nodes, end):
+    """The sub-diagram of ``nodes`` and the end its seed vertex sits at.
 
-    The filled nodes, relabelled 1..k in order, are matched against each
-    family's bonds; when they match only read backwards, the seed node
-    lands at the other end.
+    The nodes, relabelled 1..k in order, are matched against each family's
+    bonds; when they match only read backwards, the seed node lands at the
+    other end.  The filled nodes of a face class give the face's own
+    diagram and its open nodes the face figure; both are seeded at the
+    chain's ``end``, which for the figure is the side of the square.
     """
-    label = {node: k for k, node in enumerate(sorted(c.filled_nodes), 1)}
+    label = {node: k for k, node in enumerate(sorted(nodes), 1)}
     k = len(label)
     edges = tuple(sorted((label[i], label[j], m) for i, j, m in d.edges
                          if i in label and j in label))
@@ -279,17 +288,17 @@ def face_diagram(d, c, end):
             return build(family, k), end
         if bonds == flipped:
             return build(family, k), other
-    raise AssertionError(f"no family has the bonds {edges} of {d.name} {c.text}")
+    raise AssertionError(f"no family has the bonds {edges} of {d.name} {sorted(nodes)}")
 
 
 class TestFacesOfFaces:
     def test_octahedral_cells(self):
         f4 = parse_name("F4")
         for end in (End.LEFT, End.RIGHT):
-            sub, sub_end = face_diagram(f4, chain(f4, end)[3], end)
+            sub, sub_end = face_diagram(f4, chain(f4, end)[3].filled_nodes, end)
             assert polytope_name(sub, sub_end) == "octahedron"
         h4 = parse_name("H4")
-        sub, sub_end = face_diagram(h4, chain(h4, End.RIGHT)[3], End.RIGHT)
+        sub, sub_end = face_diagram(h4, chain(h4, End.RIGHT)[3].filled_nodes, End.RIGHT)
         assert polytope_name(sub, sub_end) == "dodecahedron"
 
     def test_faces_inside_a_face_are_counted_on_its_subdiagram(self):
@@ -300,13 +309,67 @@ class TestFacesOfFaces:
                 perms = vertex_table(d, end)[1]
                 for k in range(2, d.rank):
                     face = set(_representative(perms, decs[k]))
-                    sub, sub_end = face_diagram(d, decs[k], end)
+                    sub, sub_end = face_diagram(d, decs[k].filled_nodes, end)
                     sub_decs = chain(sub, sub_end)
                     for c in range(k):
                         inside = sum(1 for f in enumerate_faces(d, decs[c])
                                      if face.issuperset(f))
                         assert inside == face_count(sub, sub_decs[c]), (
                             d.name, end, k, c)
+
+
+    def test_faces_around_a_face_are_counted_on_its_figure(self):
+        # the open nodes of a c-face, seeded next to its square, are the
+        # diagram of its face figure: the k-faces containing the c-face are
+        # the figure's (k-c-1)-faces, so the geometric incidence count has
+        # a counting route at every gap, where the flag ratio does not
+        for d in chain_diagrams(8):
+            for end in (End.LEFT, End.RIGHT):
+                decs = chain(d, end)
+                for c in range(d.rank - 1):
+                    figure, figure_end = face_diagram(d, decs[c].open_nodes, end)
+                    figure_decs = chain(figure, figure_end)
+                    for k in range(c + 1, d.rank):
+                        assert incidence_count(d, decs[c], decs[k]) == face_count(
+                            figure, figure_decs[k - c - 1]), (d.name, end, c, k)
+
+
+class TestDualLattice:
+    def test_right_polytope_is_the_dual_of_the_left(self):
+        # facets of the left polytope map to vertices of the right one by
+        # equivariance: the representative facet goes to vertex 0, and a
+        # reflection moves facets and vertices alike; the facets around each
+        # left k-face then make up exactly the right polytope's (n-1-k)-faces
+        for d in chain_diagrams(8):
+            n = d.rank
+            left, right = chain(d, End.LEFT), chain(d, End.RIGHT)
+            points, left_perms = vertex_table(d, End.LEFT)
+            right_perms = vertex_table(d, End.RIGHT)[1]
+            first = _representative(left_perms, left[n - 1])
+            # the representative facet's centroid lies on the ray of the last weight
+            centroid = [sum(col, ZERO) for col in zip(*(points[v] for v in first))]
+            assert not any(centroid[:-1]) and centroid[-1].sign() == 1, d.name
+            to_vertex = {first: 0}
+            frontier = [first]
+            while frontier:
+                facet = frontier.pop()
+                for lp, rp in zip(left_perms, right_perms):
+                    image = tuple(sorted(lp[v] for v in facet))
+                    vertex = rp[to_vertex[facet]]
+                    if image not in to_vertex:
+                        to_vertex[image] = vertex
+                        frontier.append(image)
+                    assert to_vertex[image] == vertex, (d.name, "not well defined")
+            assert sorted(to_vertex) == list(enumerate_faces(d, left[n - 1])), d.name
+            assert sorted(to_vertex.values()) == list(range(face_count(d, right[0]))), d.name
+            around = {}  # left vertex -> right vertices of the facets around it
+            for facet, vertex in to_vertex.items():
+                for v in facet:
+                    around.setdefault(v, set()).add(vertex)
+            for k in range(n):
+                duals = {tuple(sorted(set.intersection(*(around[v] for v in face))))
+                         for face in enumerate_faces(d, left[k])}
+                assert duals == set(enumerate_faces(d, right[n - 1 - k])), (d.name, k)
 
 
 class TestConsistency:

@@ -1,12 +1,17 @@
-"""The README's library example runs as printed.
+"""The README's examples run as printed.
 
 The ``## Library`` section's python block is executed in a fresh
-namespace, so a renamed function or field breaks this test rather than
-leaving the example stale.
+namespace, and every ``platonic ...`` line of the ``## Command line``
+examples goes through ``cli.main``, so a renamed function, field, verb or
+flag breaks this test rather than leaving the example stale.
 """
 
 import re
 from pathlib import Path
+
+import pytest
+
+from platonic.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +31,22 @@ def test_library_example_runs(capsys):
     assert len(namespace["corners"]) == 3
     # one line per face class: 2n rows for the rank-3 H3
     assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def command_lines() -> list[list[str]]:
+    """The argument lists of the Command line section's examples, comments dropped."""
+    text = README.read_text(encoding="utf-8")
+    block = re.compile(r"```sh\n(.*?)```", re.S).search(text, text.index("\n## Command line\n"))
+    return [line.split("#")[0].split()[1:] for line in block.group(1).splitlines()
+            if line.startswith("platonic ")]
+
+
+@pytest.mark.parametrize("argv", command_lines(), ids=" ".join)
+def test_command_line_example_runs(argv, tmp_path, capsys):
+    argv, written = list(argv), None
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        written = argv[at] = str(tmp_path / argv[at])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out or (written and Path(written).read_text(encoding="utf-8"))
