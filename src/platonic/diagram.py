@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -290,9 +291,9 @@ def _classify(d: Diagram, comp: list[int]) -> tuple[str, int]:
     is a run of consecutive chain nodes with at most one bond above 3.
     """
     k = len(comp)
-    inside = [(i, j, m) for i, j, m in d.edges if i in comp and j in comp]
-    ends = [v for i, j, _ in inside for v in (i, j)]
-    if any(ends.count(v) == 3 for v in comp):
+    members = set(comp)
+    inside = [(i, j, m) for i, j, m in d.edges if i in members and j in members]
+    if 3 in Counter(v for i, j, _ in inside for v in (i, j)).values():
         return ("D", k)
     heavy = [(i, m) for i, _, m in inside if m > 3]
     if not heavy:

@@ -8,17 +8,19 @@ seed stay exact and deduplicate by structural equality.  ``reflect``,
 enumeration is a plain breadth-first closure with a deterministic generator
 sweep that also records how each generator permutes the points it visits.
 
-Inside the sweep, and only there, a point is a flat tuple of ints
-``(a_1, b_1, ..., a_n, b_n)`` with ``x_j = (a_j + b_j*phi)/R`` for the golden
-ratio ``phi`` and one common denominator ``R`` of the seed: every Cartan
-entry (2, -1, -2, -phi) lies in Z[phi], so reflections stay integral and the
-index dict hashes and compares plain ints.  Every generator is an involution
-(its Cartan diagonal is 2, checked before the sweep), so when the sweep maps
-point ``v`` to ``k`` it records both ``perm[v] = k`` and ``perm[k] = v`` and
-skips that generator when it reaches ``k``: each pair of points a mirror swaps
-is reflected once.  Each point is turned back into ``QSqrt5`` in one ``map``
-over its ``(a, b)`` pairs, with one scalar per distinct pair shared by every
-point of the orbit, and ``reflect`` checks the first step of every generator.
+Inside the sweep, and only there, coordinate ``x_j = (a_j + b_j*phi)/R``
+(golden ratio ``phi``, one denominator ``R`` of the seed) is the one int
+``z_j = a_j + b_j*2^k``, with ``k`` the bit length of the seed's largest part
+plus ``_MARGIN``.  Every Cartan entry (2, -1, -2, -phi) lies in Z[phi] and the
+packing is linear, so a rational row subtracts ``c*z_i`` and a row with phi
+unpacks ``z_i`` once to add ``phi*z_i`` as well; ``x_i == 0`` is ``z_i == 0``.
+Unpacking is exact while both parts stay below 2^(k-1), and a reflection at
+most triples the largest part, so each unpacked part, in a phi row and once
+per distinct coordinate back in ``QSqrt5``, must stay below 2^(k-4): past it
+the sweep runs again at width ``2k``.  Every generator is an involution (its
+Cartan diagonal is 2, checked before the sweep), so when the sweep maps point
+``v`` to ``n`` it records both ``perm[v] = n`` and ``perm[n] = v`` and skips
+that generator at ``n``, and ``reflect`` checks the first step of each one.
 Points whose length is not the rank raise ``ValueError``.
 """
 
@@ -123,69 +125,89 @@ def _pairs(x) -> tuple[tuple[tuple[int, int], ...], int]:
     return tuple((v._p * (k := r // v._r), v._q * k) for v in x), r
 
 
-class _Scalars(dict):
-    """One orbit's ``QSqrt5`` per ``(a, b)``: a miss makes ``(a + b*phi)/R`` once."""
+# bits between the seed's largest part and the first packing width k; at least 4,
+# so that the seed's own parts pass the check of ``_unpack``
+_MARGIN = 8
 
-    def __init__(self, scale: int):
-        super().__init__()
-        self.scale = 2 * scale
 
-    def __missing__(self, key: tuple[int, int]) -> QSqrt5:
-        a, b = key
-        x = self[key] = _make(2 * a + b, b, self.scale)
-        return x
+def _unpack(z: int, k: int) -> tuple[int, int]:
+    """``(a, b)`` with ``z == a + b*2^k``; ``OverflowError`` unless both are below 2^(k-4)."""
+    b = (z + (1 << k - 1)) >> k
+    a = z - (b << k)
+    if (abs(a) | abs(b)) >> k - 4:
+        raise OverflowError(f"orbit parts outgrow the packing width {k}")
+    return a, b
 
 
 @lru_cache(maxsize=256)
 def _orbit(d: Diagram, seed: Point, gens: tuple[int, ...]) -> OrbitResult:
-    pairs, scale = _pairs(seed)
-    start = tuple(n for p, q in pairs for n in (p - q, 2 * q))
     rows = _zphi_rows(d)
     for i in gens:
         if (i - 1, 2, 0) not in rows[i - 1]:
             raise ConsistencyError(f"Cartan diagonal of {d.name} at node {i} is not 2")
-    # per generator: flat position of x_i, then (flat position of x_j, c, e) per entry
-    steps = [(2 * i - 2, [(2 * j, c, e) for j, c, e in rows[i - 1]]) for i in gens]
-    limit = group_order(d)
-    index = {start: 0}
-    order = [start]
-    # perm[k] is filled ahead of the sweep by k's partner, so the lists grow by doubling
-    perms = tuple([None] for _ in gens)
-    for v, x in enumerate(order):  # order grows while swept: first-in, first-out
-        for (at, row), perm in zip(steps, perms):
-            if perm[v] is not None:
-                continue  # x is the image of an earlier point under this involution
-            a, b = x[at], x[at + 1]
-            if not (a or b):
-                perm[v] = v
-                continue
-            # y_j = x_j - x_i C_ij, where phi^2 = phi + 1 gives
-            # (a + b phi)(c + e phi) = (ac + be) + (ae + bc + be) phi
-            y = list(x)
-            for j, c, e in row:
-                y[j] -= a * c + b * e
-                y[j + 1] -= a * e + b * c + b * e
-            y = tuple(y)
-            k = index.get(y)
-            if k is None:
-                k = index[y] = len(order)
-                if k == limit:
-                    raise ConsistencyError(f"orbit in {d.name} outgrows |W| = {limit}")
-                order.append(y)
-                if k == len(perm):
-                    for p in perms:
-                        p += [None] * k
-            perm[v], perm[k] = k, v
-    scalars = _Scalars(scale)
-    for key, x in zip(zip(start[::2], start[1::2]), seed):
-        scalars.setdefault(key, x)
-    points = (seed, *[tuple(map(scalars.__getitem__, zip(y[::2], y[1::2]))) for y in order[1:]])
+    pairs, scale = _pairs(seed)
+    k = max(abs(n) for p, q in pairs for n in (p - q, 2 * q)).bit_length() + _MARGIN
+    while True:
+        try:
+            points, perms = _sweep(d, seed, gens, pairs, scale, k)
+            break
+        except OverflowError:
+            k *= 2
     for i, perm in zip(gens, perms):
         if reflect(d, i, seed) != points[perm[0]]:
             raise ConsistencyError(
                 f"orbit sweep in {d.name} disagrees with reflect at node {i}")
+    return OrbitResult(points, seed, perms)
+
+
+def _sweep(d: Diagram, seed: Point, gens: tuple[int, ...], pairs, scale: int, k: int):
+    """Points and perms of the orbit, with x_j = (p_j + q_j√5)/scale packed as
+    ``a + b*2^k`` for ``a + b*phi == p_j + q_j√5``; ``OverflowError`` when k is
+    too narrow for the orbit's parts."""
+    rows = _zphi_rows(d)
+    # per generator: 0-based i, whether row i holds a phi, and its (j, c, e) entries
+    steps = [(i - 1, any(e for _, _, e in rows[i - 1]), rows[i - 1]) for i in gens]
+    start = tuple(p - q + (2 * q << k) for p, q in pairs)
+    limit = group_order(d)
+    index = {start: 0}
+    order = [start]
+    # perm[n] is filled ahead of the sweep by n's partner, so the lists grow by doubling
+    perms = tuple([None] for _ in gens)
+    for v, x in enumerate(order):  # order grows while swept: first-in, first-out
+        for (i, golden, row), perm in zip(steps, perms):
+            if perm[v] is not None:
+                continue  # x is the image of an earlier point under this involution
+            z = x[i]
+            if not z:
+                perm[v] = v
+                continue
+            y = list(x)
+            if golden:
+                # phi*(a + b*phi) = b + (a + b)*phi, since phi^2 = phi + 1
+                a, b = _unpack(z, k)
+                w = b + (a + b << k)
+                for j, c, e in row:
+                    y[j] -= c * z + e * w
+            else:
+                for j, c, _ in row:
+                    y[j] -= c * z
+            y = tuple(y)
+            n = index.get(y)
+            if n is None:
+                n = index[y] = len(order)
+                if n == limit:
+                    raise ConsistencyError(f"orbit in {d.name} outgrows |W| = {limit}")
+                order.append(y)
+                if n == len(perm):
+                    for p in perms:
+                        p += [None] * n
+            perm[v], perm[n] = n, v
+    # one QSqrt5 (a + b*phi)/scale per distinct coordinate past the seed, each checked once
+    scalars = {z: _make(2 * a + b, b, 2 * scale)
+               for z in set().union(*order[1:]) for a, b in [_unpack(z, k)]}
+    points = (seed, *[tuple(map(scalars.__getitem__, y)) for y in order[1:]])
     size = len(order)
-    return OrbitResult(points, seed, tuple(tuple(perm[:size]) for perm in perms))
+    return points, tuple(tuple(perm[:size]) for perm in perms)
 
 
 def stabilizer_order_of_point(d: Diagram, seed: Point) -> int:

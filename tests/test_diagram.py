@@ -38,7 +38,7 @@ from platonic import (
     parse_name,
     root_count,
 )
-from platonic.diagram import _root_lengths_sq, matrix_inverse
+from platonic.diagram import _components, _root_lengths_sq, matrix_inverse
 from platonic.orbit import as_point, orbit
 from platonic.qsqrt5 import GOLDEN, ONE, QSqrt5, ZERO
 
@@ -235,7 +235,35 @@ class TestOrders:
         assert root_count(d) == roots
 
 
+def reference_classify(d, comp):
+    """Component type by list scans, quadratic in the component: the oracle for
+    ``classify_parabolic``."""
+    k = len(comp)
+    inside = [(i, j, m) for i, j, m in d.edges if i in comp and j in comp]
+    ends = [v for i, j, _ in inside for v in (i, j)]
+    if any(ends.count(v) == 3 for v in comp):
+        return ("D", k)
+    heavy = [(i, m) for i, _, m in inside if m > 3]
+    if not heavy:
+        return ("A", k)
+    [(i, m)] = heavy
+    if m == 5:
+        return ("H", k)
+    return ("BC", k) if i - comp[0] in (0, k - 2) else ("F4", 4)
+
+
 class TestParabolic:
+    def test_every_subset_against_reference(self):
+        subsets = 0
+        for d in all_diagrams(8):
+            for k in range(d.rank + 1):
+                for nodes in combinations(d.nodes, k):
+                    comps = _components(d, frozenset(nodes))
+                    assert classify_parabolic(d, nodes) == [
+                        reference_classify(d, comp) for comp in comps], (d.name, nodes)
+                    subsets += 1
+        assert subsets == 2066
+
     def test_f4_tail_is_bc3(self):
         f4 = build(Family.F4, 4)
         assert classify_parabolic(f4, {2, 3, 4}) == [("BC", 3)]

@@ -12,6 +12,8 @@ Claims:
       ``reflect`` alone under every generator subset, each permutation is an
       involution, and a wrong Cartan row or diagonal fails fast instead of
       hanging or pairing points wrongly
+    - a sweep whose packing width is too narrow for its orbit runs again wider
+      and still returns the same points and permutations, also under ``-O``
     - points whose length is not the rank are rejected
     - ``reflect``, ``inner`` and ``random_point`` give the same canonical
       ``(p, q, r)`` ints as the operator-based QSqrt5 routines and the
@@ -26,6 +28,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +236,28 @@ class TestOrbit:
                 orbit(a3, as_point(seed), a3.nodes)
 
 
+# 3*rho and phi^2*rho, rho = (1, ..., 1): at the narrowest first width, k = 6,
+# their orbits reach parts of 33 in F4 and 58 in H4, past the 2^5 that unpacks exactly
+GROWING = (QSqrt5(3), GOLDEN + 1)
+
+
+@pytest.fixture
+def narrow(monkeypatch):
+    """The first sweep at the narrowest width that fits the seed; yields the list of
+    widths swept, orbit cache emptied around it."""
+    monkeypatch.setattr(orbit_module, "_MARGIN", 4)
+    real, widths = orbit_module._sweep, []
+
+    def sweep(*args):
+        widths.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(orbit_module, "_sweep", sweep)
+    orbit_module._orbit.cache_clear()
+    yield widths
+    orbit_module._orbit.cache_clear()
+
+
 class TestIntegerSweep:
     def check(self, d, seed, gens):
         res = orbit(d, seed, gens)
@@ -274,6 +299,53 @@ class TestIntegerSweep:
                     for golden in (True, False):
                         self.check(d, random_point(d, rng, golden_part=golden), gens)
 
+    @pytest.mark.parametrize("name", ["B9", "B10"])
+    def test_benchmark_hypercubes(self, name):
+        d = parse_name(name)
+        seed = seed_point(d, End.RIGHT)
+        self.check(d, seed, d.nodes)
+        for dec in chain(d, End.RIGHT):
+            self.check(d, seed, dec.filled_nodes)
+
+    def test_largest_hypercubes(self):
+        for n in (11, 12):
+            d = parse_name(f"B{n}")
+            res = orbit(d, seed_point(d, End.RIGHT), d.nodes)
+            assert res.size == 2**n
+            for perm in res.perms:
+                assert all(perm[k] == v for v, k in enumerate(perm)), d.name
+
+    def test_rerun_matches_reflect_sweep(self, narrow):
+        rng = random.Random(20261020)
+        cases = set()
+        for d in [d for d in all_diagrams(4) if d.rank <= 4]:
+            seeds = [seed_point(d, end) for end in End] + [(x,) * d.rank for x in GROWING]
+            cases |= {(d, seed, d.nodes) for seed in seeds}
+            randoms = [random_point(d, rng, golden_part=g) for g in (True, False) for _ in range(3)]
+            # at rank 4 the random orbits run under each 3-node subgroup: H4's own is 14400 points
+            subsets = combinations(d.nodes, 3) if d.rank == 4 else [d.nodes]
+            cases |= {(d, seed, gens) for gens in subsets for seed in randoms}
+        for case in cases:
+            self.check(*case)
+        assert len(narrow) > len(cases)  # some sweeps ran again wider
+
+    def test_rerun_under_optimize(self):
+        proc = run_under_optimize(
+            "sys.path.insert(0, %r)\n"
+            "from test_orbit import GROWING, reflect_sweep\n"
+            "from platonic import parse_name\n"
+            "m._MARGIN = 4\n"
+            "real, widths = m._sweep, []\n"
+            "m._sweep = lambda *args: widths.append(args[-1]) or real(*args)\n"
+            "for name, x in zip(('F4', 'H4'), GROWING):\n"
+            "    d = parse_name(name)\n"
+            "    res = m.orbit(d, (x,) * 4, d.nodes)\n"
+            "    if (res.points, res.perms) != reflect_sweep(d, (x,) * 4, d.nodes):\n"
+            "        sys.exit(f'{name} differs')\n"
+            "print(len(widths))\n" % str(Path(__file__).parent))
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 2, proc.stdout
+
     def test_plain_rational_seed(self):
         b3 = build(Family.B, 3)
         seed = (1, Fraction(1, 2), 0)
@@ -309,16 +381,25 @@ def corrupt_row(monkeypatch):
     orbit_module._orbit.cache_clear()
 
 
+def run_under_optimize(code):
+    """Run ``code`` under ``python -O`` with ``sys``, ``importlib`` and the orbit
+    module ``m`` imported; return the finished process."""
+    code = (
+        "import importlib, sys\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "m = importlib.import_module('platonic.orbit')\n"
+    ) + code
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+
+
 def raises_under_optimize(rows, message):
     """Run a full A3 orbit under ``python -O`` with ``_zphi_rows`` of A3 replaced by
     ``rows`` (an expression in the real ``rows``): it must raise ConsistencyError
     saying ``message``."""
-    code = (
-        "import importlib, sys\n"
+    proc = run_under_optimize(
         "from platonic import ConsistencyError, fundamental_weight, parse_name\n"
-        "if __debug__:\n"
-        "    sys.exit('not running under -O')\n"
-        "m = importlib.import_module('platonic.orbit')\n"
         "a3 = parse_name('A3')\n"
         "rows = m._zphi_rows(a3)\n"
         f"m._zphi_rows = lambda d: {rows}\n"
@@ -329,8 +410,6 @@ def raises_under_optimize(rows, message):
         "    sys.exit(0)\n"
         "sys.exit(1)\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert message in proc.stdout
 
