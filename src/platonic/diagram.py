@@ -1,10 +1,12 @@
 """Coxeter-Dynkin diagrams of the finite reflection groups used here.
 
-Supported families: the chains A_n, B_n, C_n (n >= 2), F4 and the
-pentagonal chains H2, H3, H4, plus the forked family D_n (n >= 4), which
-is carried only for its group order and root count.  Nodes are numbered
-1..n left to right as the diagrams are conventionally drawn; an absent
-edge means the two mirrors commute (label 2).
+Supported families: the chains A_n, B_n, C_n, F4 and the pentagonal
+chains H2, H3, H4, plus the forked family D_n, which is carried only for
+its group order and root count.  Each is one row of ``_FAMILIES``: least
+rank, only rank, irreducible type, its one bond above 3 and the short side
+of a label-4 bond; bonds, root lengths, orders, name and parsing read it.
+Nodes are numbered 1..n left to right as the diagrams are conventionally
+drawn; an absent edge means the two mirrors commute (label 2).
 
 A ``Diagram`` is checked when it is made: its edges must be the bonds of
 its family at its rank.  The module derives everything combinatorial and
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -73,9 +75,8 @@ class Diagram:
 
     @property
     def name(self) -> str:
-        if self.family in (Family.F4, Family.H2, Family.H3, Family.H4):
-            return self.family.value
-        return f"{self.family.value}{self.rank}"
+        only = _FAMILIES[self.family].only
+        return self.family.value if only else f"{self.family.value}{self.rank}"
 
     @property
     def nodes(self) -> range:
@@ -104,38 +105,35 @@ class Diagram:
         return self.name
 
 
-_RANK_RULES = {
-    Family.A: (1, None),
-    Family.B: (2, None),
-    Family.C: (2, None),
-    Family.D: (4, None),
-    Family.F4: (4, 4),
-    Family.H2: (2, 2),
-    Family.H3: (3, 3),
-    Family.H4: (4, 4),
+# least rank, only rank, irreducible type as named in _TYPES, (label, index among
+# the chain's bonds) of the one bond above 3, and the short side of a label-4 bond
+_Row = namedtuple("_Row", "least only type bond short")
+
+_FAMILIES = {
+    Family.A: _Row(1, None, "A", None, None),
+    Family.B: _Row(2, None, "BC", (4, -1), "right"),
+    Family.C: _Row(2, None, "BC", (4, -1), "left"),
+    Family.D: _Row(4, None, "D", None, None),
+    Family.F4: _Row(4, 4, "F4", (4, 1), "right"),
+    Family.H2: _Row(2, 2, "H", (5, -1), None),
+    Family.H3: _Row(3, 3, "H", (5, -1), None),
+    Family.H4: _Row(4, 4, "H", (5, -1), None),
 }
 
 
 def _bonds(family: Family, rank: int) -> tuple[tuple[int, int, int], ...]:
     """Sorted labelled edges of the family's diagram; DiagramError on a bad rank."""
-    lo, hi = _RANK_RULES[family]
-    if rank < lo or (hi is not None and rank != hi):
+    row = _FAMILIES[family]
+    if rank < row.least or row.only not in (None, rank):
         raise DiagramError(f"invalid rank {rank} for family {family.value}")
 
     chain = [(i, i + 1, 3) for i in range(1, rank)]
-    if family in (Family.B, Family.C):
-        chain[-1] = (rank - 1, rank, 4)
-    elif family is Family.F4:
-        chain[1] = (2, 3, 4)
-    elif family is Family.H2:
-        chain[0] = (1, 2, 5)
-    elif family in (Family.H3, Family.H4):
-        chain[-1] = (rank - 1, rank, 5)
-    elif family is Family.D:
-        # fork: replace the last chain edge by two tips on node rank-2
-        chain = [(i, i + 1, 3) for i in range(1, rank - 1)]
-        chain.append((rank - 2, rank, 3))
-    return tuple(sorted(chain))
+    if family is Family.D:  # fork: the last chain edge moves to node rank-2
+        chain[-1] = (rank - 2, rank, 3)
+    elif row.bond:
+        label, at = row.bond
+        chain[at] = chain[at][:2] + (label,)
+    return tuple(chain)
 
 
 @cache
@@ -148,43 +146,27 @@ def build(family: Family, rank: int) -> Diagram:
 
 
 _NAME_RE = re.compile(r"([a-hA-H])\s*([0-9]+)")
+_BY_NAME = dict(Family.__members__)  # "A".."D", "F4", "H2".."H4"
 
 
 def parse_name(name: str) -> Diagram:
     """Parse diagram names like ``A4``, ``b7``, ``F4``, ``H3``."""
     m = _NAME_RE.fullmatch(name.strip())
-    if m is None:
-        raise DiagramError(f"unknown diagram name: {name!r}")
-    letter = m.group(1).upper()
-    rank = int(m.group(2))
-    if letter in ("A", "B", "C", "D"):
-        return build(Family(letter), rank)
-    if letter == "F":
-        if rank != 4:
-            raise DiagramError(f"unknown diagram name: {name!r} (only F4 exists)")
-        return build(Family.F4, 4)
-    if letter == "H":
-        try:
-            return build(Family(f"H{rank}"), rank)
-        except ValueError as exc:
-            raise DiagramError(
-                f"unknown diagram name: {name!r} (H2, H3, H4 exist)"
-            ) from exc
-    raise DiagramError(f"unknown diagram name: {name!r}")
+    letter, rank = (m.group(1).upper(), int(m.group(2))) if m else ("", 0)
+    family = _BY_NAME.get(letter) or _BY_NAME.get(f"{letter}{rank}")
+    if family is None:
+        valid = ", ".join(f.value if row.only else f"{f.value}<n>" for f, row in _FAMILIES.items())
+        raise DiagramError(f"unknown diagram name: {name!r} (valid names: {valid})")
+    return build(family, rank)
 
 
 # -- root geometry -----------------------------------------------------
 
 def _root_lengths_sq(d: Diagram) -> tuple[Fraction, ...]:
     """Squared lengths of the simple roots (long = 2, short = 1)."""
-    n = d.rank
-    if d.family is Family.B:
-        return tuple(Fraction(2) if i < n else Fraction(1) for i in d.nodes)
-    if d.family is Family.C:
-        return tuple(Fraction(1) if i < n else Fraction(2) for i in d.nodes)
-    if d.family is Family.F4:
-        return (Fraction(2), Fraction(2), Fraction(1), Fraction(1))
-    return tuple(Fraction(2) for _ in d.nodes)
+    short = _FAMILIES[d.family].short
+    cut = next((i for i, _, m in d.edges if m == 4), 0)  # lower node of the label-4 bond
+    return tuple(Fraction(1 if short == ("right" if i > cut else "left") else 2) for i in d.nodes)
 
 
 @cache
@@ -250,20 +232,14 @@ _TYPES = {
 }
 
 
-def _type(family: Family) -> str:
-    """The irreducible type of a family's diagram, as named in ``_TYPES``."""
-    v = family.value
-    return "BC" if v in ("B", "C") else "H" if v[0] == "H" else v
-
-
 def group_order(d: Diagram) -> int:
     """Order of the reflection group of the diagram."""
-    return _TYPES[_type(d.family)](d.rank)[0]
+    return _TYPES[_FAMILIES[d.family].type](d.rank)[0]
 
 
 def root_count(d: Diagram) -> int:
     """Number of nonzero roots of the associated root system."""
-    return _TYPES[_type(d.family)](d.rank)[1]
+    return _TYPES[_FAMILIES[d.family].type](d.rank)[1]
 
 
 # -- parabolic sub-diagrams ----------------------------------------------

@@ -347,8 +347,8 @@ def check_flag_vs_face_divergence(result: CheckResult) -> None:
 _CHECKS = (
     (1, "group orders and root counts", 1.0, check_orders_and_roots),
     (2, "3-dimensional face counts, formula and enumeration", 5.0, check_face_counts_3d),
-    (3, "4-dimensional face counts, formula and enumeration", 120.0, check_face_counts_4d),
-    (4, "4-dimensional meeting numbers (with 600-cell note)", 120.0, check_meeting_numbers_4d),
+    (3, "4-dimensional face counts, formula and enumeration", 5.0, check_face_counts_4d),
+    (4, "4-dimensional meeting numbers (with 600-cell note)", 5.0, check_meeting_numbers_4d),
     (5, "closed-form face counts at rank 5..7", 10.0, check_symbolic_counts),
     (6, "meeting numbers of simplex, cross-polytope, hypercube at rank 5..8", 5.0,
      check_meeting_rows_general),

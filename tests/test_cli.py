@@ -65,6 +65,13 @@ class TestInfo:
         assert code == 0
         assert json.loads(out)["name"] == "B6"
 
+    def test_bare_family_with_no_such_rank(self, capsys):
+        code, out, err = run(capsys, "info", "H", "--n", "5")
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: unknown diagram name: 'H5'")
+        assert "F4, H2, H3, H4" in line
+
     def test_conflicting_rank(self, capsys):
         code, _, err = run(capsys, "info", "B6", "--n", "7")
         assert code != 0

@@ -5,6 +5,8 @@ Claims:
       bad family/rank pairs and unknown names; a hand-built diagram is
       rejected unless its edges are its family's bonds; equal diagrams hash
       equal, so built, parsed and hand-built ones are the same dict key
+    - the family table gives the same bonds, root lengths, orders, root
+      counts, names and parses as per-family code, at every rank 0..24
     - Cartan matrices follow the convention fixed by the orbit counts
       (octahedron from the first weight of B3), with exact golden entries
       on quintuple bonds
@@ -17,6 +19,7 @@ Claims:
       and every parabolic order is the orbit size of a regular point
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,7 +41,7 @@ from platonic import (
     parse_name,
     root_count,
 )
-from platonic.diagram import _components, _root_lengths_sq, matrix_inverse
+from platonic.diagram import _TYPES, _bonds, _components, _root_lengths_sq, matrix_inverse
 from platonic.orbit import as_point, orbit
 from platonic.qsqrt5 import GOLDEN, ONE, QSqrt5, ZERO
 
@@ -98,7 +101,8 @@ class TestBuild:
         assert parse_name("H4").rank == 4
         assert parse_name(" b7 ").family is Family.B
         for bad in ("Q9", "E6", "F5", "H9", "A", "3", "Bx"):
-            with pytest.raises(DiagramError):
+            # the message names the valid names, read off the family table
+            with pytest.raises(DiagramError, match=r"^unknown diagram name: .*F4, H2, H3, H4"):
                 parse_name(bad)
 
     def test_hand_built_diagram_checked(self):
@@ -123,6 +127,109 @@ class TestBuild:
             table[twin] = "again"
             assert table == {parsed: "again"}, d.name
         assert len(set(diagrams)) == len(diagrams)
+
+
+# -- per-family code, one branch per family: the oracle for the family table --
+
+REFERENCE_RANKS = {
+    Family.A: (1, None), Family.B: (2, None), Family.C: (2, None), Family.D: (4, None),
+    Family.F4: (4, 4), Family.H2: (2, 2), Family.H3: (3, 3), Family.H4: (4, 4),
+}
+
+
+def reference_bonds(family, rank):
+    lo, hi = REFERENCE_RANKS[family]
+    if rank < lo or (hi is not None and rank != hi):
+        raise DiagramError(f"invalid rank {rank} for family {family.value}")
+    chain = [(i, i + 1, 3) for i in range(1, rank)]
+    if family in (Family.B, Family.C):
+        chain[-1] = (rank - 1, rank, 4)
+    elif family is Family.F4:
+        chain[1] = (2, 3, 4)
+    elif family is Family.H2:
+        chain[0] = (1, 2, 5)
+    elif family in (Family.H3, Family.H4):
+        chain[-1] = (rank - 1, rank, 5)
+    elif family is Family.D:
+        chain = [(i, i + 1, 3) for i in range(1, rank - 1)]
+        chain.append((rank - 2, rank, 3))
+    return tuple(sorted(chain))
+
+
+def reference_root_lengths_sq(family, rank):
+    if family is Family.B:
+        return tuple(Fraction(2) if i < rank else Fraction(1) for i in range(1, rank + 1))
+    if family is Family.C:
+        return tuple(Fraction(1) if i < rank else Fraction(2) for i in range(1, rank + 1))
+    if family is Family.F4:
+        return (Fraction(2), Fraction(2), Fraction(1), Fraction(1))
+    return tuple(Fraction(2) for _ in range(rank))
+
+
+def reference_type(family):
+    v = family.value
+    return "BC" if v in ("B", "C") else "H" if v[0] == "H" else v
+
+
+def reference_name(family, rank):
+    if family in (Family.F4, Family.H2, Family.H3, Family.H4):
+        return family.value
+    return f"{family.value}{rank}"
+
+
+def reference_parse_name(name):
+    m = re.fullmatch(r"([a-hA-H])\s*([0-9]+)", name.strip())
+    if m is None:
+        raise DiagramError(f"unknown diagram name: {name!r}")
+    letter, rank = m.group(1).upper(), int(m.group(2))
+    if letter in ("A", "B", "C", "D"):
+        family = Family(letter)
+    elif letter == "F" and rank == 4:
+        family = Family.F4
+    elif letter == "H" and rank in (2, 3, 4):
+        family = Family(f"H{rank}")
+    else:
+        raise DiagramError(f"unknown diagram name: {name!r}")
+    return Diagram(family, rank, reference_bonds(family, rank))
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or DiagramError when it raises one."""
+    try:
+        return fn(*args)
+    except DiagramError:
+        return DiagramError
+
+
+class TestFamilyTable:
+    def test_every_family_and_rank_against_reference(self):
+        valid = 0
+        for family in Family:
+            for rank in range(25):
+                bonds = outcome(_bonds, family, rank)
+                assert bonds == outcome(reference_bonds, family, rank), (family, rank)
+                if bonds is DiagramError:
+                    continue
+                d = build(family, rank)
+                assert _root_lengths_sq(d) == reference_root_lengths_sq(family, rank), d.name
+                order_and_roots = _TYPES[reference_type(family)](rank)
+                assert (group_order(d), root_count(d)) == order_and_roots, d.name
+                assert d.name == reference_name(family, rank)
+                valid += 1
+        assert valid == 24 + 23 + 23 + 21 + 4
+
+    def test_parse_name_against_reference(self):
+        accepted = 0
+        for letter in "ABCDEFGHabcdefgh":
+            for gap in ("", " "):
+                for rank in range(25):
+                    name = f"{letter}{gap}{rank}"
+                    parsed = outcome(parse_name, name)
+                    assert parsed == outcome(reference_parse_name, name), name
+                    if parsed is not DiagramError:
+                        assert parsed.edges == reference_bonds(parsed.family, parsed.rank)
+                        accepted += 1
+        assert accepted == 4 * 95
 
 
 class TestCartan:
