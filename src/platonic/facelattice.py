@@ -6,12 +6,12 @@ stabilizer, and the class size is
 
     count = |W| / (|stabilizer parabolic| * |face parabolic|).
 
-Every counting statement here has a geometric counterpart: a face is the
-orbit of the seed vertex under the face's generators, and whole classes
-are enumerated by a breadth-first closure on vertex sets.  A vertex set
-is a sorted tuple of indices into the exact vertex orbit, on which each
-reflection acts by the permutation that the orbit sweep records.
-The two routes are kept independent so one can check the other.
+Every counting statement has a geometric counterpart: a face is the seed
+vertex's orbit under the face's generators, the d-faces around a c-face
+are one orbit of its stabilizer, and a whole class is a breadth-first
+closure on vertex sets (sorted tuples of indices into the exact vertex
+orbit, which each reflection permutes as the orbit sweep records).  The
+two routes are kept independent so one can check the other.
 """
 
 from __future__ import annotations
@@ -67,23 +67,22 @@ def locate_in_chain(d: Diagram, dec: Decoration) -> tuple[End, int]:
     raise DecorationError(f"decoration {dec.text} is not in either chain of {d.name}")
 
 
-def _common_end(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> End:
-    """The seed end shared by a c-face and a d-face class with c < d."""
+def _common_end(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> None:
+    """Raise unless a c-face and a d-face class share a seed end and c < d."""
     end_c, dim_c = locate_in_chain(d, dec_c)
     end_d, dim_d = locate_in_chain(d, dec_d)
     if end_c is not end_d and d.rank > 1:
         raise DecorationError("decorations come from different seed ends")
     if dim_c >= dim_d:
         raise DecorationError(f"need dimensions c < d, got {dim_c} >= {dim_d}")
-    return end_c
 
 
 def stabilizer_ratio(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> int:
     """Ratio of the two stabilizer-parabolic orders for faces of dimensions c < d.
 
     For consecutive dimensions this is the number of d-faces meeting in a
-    (d-1)-face; for a wider gap it counts flags rather than distinct
-    faces (see incidence_count for the geometric number).
+    (d-1)-face; for a wider gap it counts flags rather than the distinct
+    faces that incidence_count finds as one orbit of the c-face's stabilizer.
     """
     _common_end(d, dec_c, dec_d)
     num = parabolic_order(d, dec_c.open_nodes)
@@ -147,13 +146,13 @@ def enumerate_faces(d: Diagram, dec: Decoration) -> tuple[Face, ...]:
 def incidence_count(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> int:
     """How many distinct d-faces contain one fixed c-face, geometrically.
 
-    Counts members of the enumerated d-class whose vertex set contains the
-    representative c-face.  Agrees with stabilizer_ratio for consecutive
-    dimensions; for wider gaps the ratio counts flags and can be larger.
+    The c-face's stabilizer W_K (K its filled and open nodes) moves one d-face
+    onto all of them, and that face's centroid lies on the ray of weight m, the
+    d-decoration's square: the count is the size of that weight's W_K-orbit.
     """
-    end = _common_end(d, dec_c, dec_d)
-    small = set(_representative(vertex_table(d, end)[1], dec_c))
-    return sum(1 for face in enumerate_faces(d, dec_d) if small.issubset(face))
+    _common_end(d, dec_c, dec_d)
+    (m,) = dec_d.square_nodes
+    return orbit(d, fundamental_weight(d, m), dec_c.filled_nodes | dec_c.open_nodes).size
 
 
 def euler_sum(d: Diagram, end: End) -> int:

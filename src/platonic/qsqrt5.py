@@ -242,7 +242,7 @@ class QSqrt5:
         return self._p / self._r + self._q / self._r * _SQRT5
 
     def __repr__(self) -> str:
-        return f"QSqrt5({self.a}, {self.b})"
+        return f"QSqrt5({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
         """Canonical text form, e.g. ``1/2 + 1/2√5``; parse() round-trips it."""

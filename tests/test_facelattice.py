@@ -15,6 +15,9 @@ Claims:
     - the distinct k-faces around a c-face are counted by the formula on
       the face figure, the sub-diagram of its open nodes seeded next to
       its square
+    - that count is one orbit of the c-face's stabilizer, which agrees with
+      the whole-class scan and with |W_K| / |W_{K - {m}}| on every case up
+      to rank 8, and needs no enumerated face class up to rank 24
     - the two seed ends give dual polytopes: facets of the left one map
       equivariantly and bijectively onto vertices of the right one, and
       the facets around each left k-face are a right (n-1-k)-face
@@ -22,6 +25,7 @@ Claims:
       also under ``python -O``
 """
 
+import json
 import subprocess
 import sys
 
@@ -38,11 +42,13 @@ from platonic import (
     as_point,
     build,
     chain,
+    cli,
     dual_read,
     enumerate_faces,
     euler_sum,
     face_count,
     face_table,
+    facelattice,
     fundamental_weight,
     group_order,
     incidence_count,
@@ -60,6 +66,7 @@ from platonic import (
 from platonic.diagram import _bonds
 from platonic.facelattice import _representative, locate_in_chain, seed_point, vertex_table
 from platonic.qsqrt5 import ZERO
+from platonic.verify import _cross_count, _cube_count, _simplex_count
 
 
 def dec(text):
@@ -399,6 +406,14 @@ class TestConsistency:
         assert proc.returncode == 0, proc.stderr
 
 
+def scan_incidence(d, dec_c, dec_d):
+    """The whole-class scan: members of the enumerated d-class whose vertex
+    set contains the representative c-face."""
+    end, _ = locate_in_chain(d, dec_c)
+    small = set(_representative(vertex_table(d, end)[1], dec_c))
+    return sum(1 for face in enumerate_faces(d, dec_d) if small.issubset(face))
+
+
 class TestIncidence:
     def test_f4_edges_at_vertex(self):
         f4 = parse_name("F4")
@@ -433,6 +448,25 @@ class TestIncidence:
                         stabilizer_ratio(d, decs[k - 1], decs[k])
                     ), (name, end, k)
 
+    def test_orbit_scan_and_order_ratio_agree(self):
+        # three routes to the distinct d-faces around a c-face: the W_K-orbit
+        # of the weight of the d-decoration's square m (incidence_count), the
+        # whole-class scan, and |W_K| / |W_{K - {m}}|, K the c-face's
+        # filled and open nodes
+        cases = 0
+        for d in chain_diagrams(8):
+            for end in (End.LEFT, End.RIGHT):
+                decs = chain(d, end)
+                for k in range(1, d.rank):
+                    (m,) = decs[k].square_nodes
+                    for c in range(k):
+                        stab = decs[c].filled_nodes | decs[c].open_nodes
+                        ratio = parabolic_order(d, stab) // parabolic_order(d, stab - {m})
+                        assert incidence_count(d, decs[c], decs[k]) == scan_incidence(
+                            d, decs[c], decs[k]) == ratio, (d.name, end, c, k)
+                        cases += 1
+        assert cases == 536
+
     def test_edge_vertex_double_counting(self):
         for d in chain_diagrams(8):
             if d.rank < 2:
@@ -442,6 +476,35 @@ class TestIncidence:
                 v = face_count(d, decs[0])
                 e = face_count(d, decs[1])
                 assert v * incidence_count(d, decs[0], decs[1]) == 2 * e
+
+
+class TestAllDimensions:
+    def test_meets_at_every_rank_to_24_without_the_face_lattice(self, monkeypatch, capsys):
+        # verify checks 5 and 6 stop at rank 8; the meets come from small
+        # stabilizer orbits, so the report reaches rank 24 (16.7 million
+        # hypercube vertices) without a vertex orbit or an enumerated class
+        def refuse(*args):
+            raise AssertionError("the face lattice was built")
+
+        monkeypatch.setattr(facelattice, "enumerate_faces", refuse)
+        monkeypatch.setattr(facelattice, "vertex_table", refuse)
+        for n in range(2, 25):
+            simplex = (_simplex_count, lambda k: n + 1 - k)
+            polytopes = [(build(Family.A, n), End.LEFT, *simplex),
+                         (build(Family.A, n), End.RIGHT, *simplex)]
+            for family in (Family.B, Family.C):
+                polytopes += [(build(family, n), End.LEFT, _cross_count, lambda k: 2 * (n - k)),
+                              (build(family, n), End.RIGHT, _cube_count, lambda k: n + 1 - k)]
+            for d, end, count, meet in polytopes:
+                payload = report(d, end)
+                assert [row["count"] for row in payload["rows"]] == [
+                    count(n, k) for k in range(n)], (d.name, end)
+                # "ratio" is stabilizer_ratio, "geometric" incidence_count
+                assert payload["meets"] == [
+                    {"c": k - 1, "d": k, "ratio": meet(k), "geometric": meet(k)}
+                    for k in range(1, n)], (d.name, end)
+        assert cli.main(["faces", "B24", "right", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == report(parse_name("B24"), End.RIGHT)
 
 
 class TestEuler:

@@ -5,7 +5,7 @@ Claims:
     - the golden ratio satisfies its minimal polynomial and inverse identity
     - field axioms hold on randomly sampled values
     - sign() is exact and agrees with float conversion away from zero
-    - the text rendering round-trips through parse()
+    - the text rendering round-trips through parse(), and repr() through eval()
     - the integer form (p + q√5)/r gives exactly what the two-Fraction
       formulas give, and stays canonical (r > 0, gcd(p, q, r) = 1)
 """
@@ -158,6 +158,14 @@ class TestText:
         for bad in ("1/0", "1/0√5", "2 + 3/0√5", "-1/0 - √5"):
             with pytest.raises(ValueError, match="zero denominator"):
                 QSqrt5.parse(bad)
+
+    def test_repr_roundtrips_through_eval(self):
+        names = {"QSqrt5": QSqrt5, "Fraction": Fraction}
+        values = [QSqrt5(3), ZERO, QSqrt5(Fraction(-7, 3)), GOLDEN, -GOLDEN, SQRT5,
+                  QSqrt5(Fraction(1, 2), Fraction(-3, 2)), QSqrt5(-4, -1)]
+        for x in values:
+            assert eval(repr(x), names) == x, repr(x)
+        assert repr(GOLDEN) == "QSqrt5(Fraction(1, 2), Fraction(1, 2))"
 
 
 class TestHashing:
