@@ -11,8 +11,9 @@ drawn; an absent edge means the two mirrors commute (label 2).
 A ``Diagram`` is checked when it is made: its edges must be the bonds of
 its family at its rank.  The module derives everything combinatorial and
 metric from a diagram: Cartan matrix C, Gram matrix of the fundamental
-weights (from C^-1 and the root lengths), group order, root count, and the
-finite type of each parabolic subgroup, read off the bonds of a node subset.
+weights (one elimination of its inverse 2 L^-1 C along the bonds, with no
+general matrix inverse), group order, root count, and the finite type of
+each parabolic subgroup, read off the bonds of a node subset.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from functools import cache
 from .qsqrt5 import GOLDEN, ONE, QSqrt5, ZERO
 
 MatrixQ = tuple[tuple[QSqrt5, ...], ...]
-
-_HALF = Fraction(1, 2)
 
 
 class Family(str, Enum):
@@ -93,13 +92,7 @@ class Diagram:
         return 2
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        out = []
-        for a, b, _ in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return tuple(sorted(out))
+        return tuple(sorted(b if a == i else a for a, b, _ in self.edges if i in (a, b)))
 
     def __str__(self) -> str:
         return self.name
@@ -189,34 +182,33 @@ def cartan_matrix(d: Diagram) -> MatrixQ:
 
 @cache
 def gram_matrix_weights(d: Diagram) -> MatrixQ:
-    """Gram matrix G of the fundamental weights, G_ij = (C^-1)_ij (a_j|a_j) / 2.
+    """Gram matrix G of the fundamental weights, the inverse of T = 2 L^-1 C.
 
-    A = C diag((a_j|a_j)) / 2 is the Gram matrix of the simple roots, so
-    C^-1 A C^-T = diag((a_i|a_i)) C^-T / 2, which is symmetric.
+    With L = diag((a_i|a_i)), T_ij = 4 (a_i|a_j) / (l_i l_j) is symmetric and
+    nonzero only on the diagonal and at bonds.  Each node j > 1 has one lower
+    neighbour p, so eliminating from node n down gives T = W diag(e) W^T with
+    one entry W_pj = T_pj / e_j per bond, and G = U^T diag(1/e) U for U = W^-1.
+    Column j of U is column p times -W_pj plus unit vector j, so from node 1 up
+    G_jj = 1/e_j + W_pj^2 G_pp and G_ij = -W_pj G_ip for i < j; no general
+    inverse is formed.  A node with two lower neighbours raises ConsistencyError.
     """
-    halves = [length * _HALF for length in _root_lengths_sq(d)]
-    return tuple(
-        tuple(v * h for v, h in zip(row, halves)) for row in matrix_inverse(cartan_matrix(d))
-    )
-
-
-# -- exact matrix inverse (Gauss-Jordan) --------------------------------
-
-def matrix_inverse(x: MatrixQ) -> MatrixQ:
-    n = len(x)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(x)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col].invert()
-        aug[col] = [v * scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    lower: dict[int, int] = {}
+    for i, j, _ in d.edges:
+        if lower.setdefault(j, i) != i:
+            raise ConsistencyError(f"node {j} of {d.name} has two lower neighbours")
+    lengths = _root_lengths_sq(d)
+    e = {i: QSqrt5(4 / length) for i, length in zip(d.nodes, lengths)}  # T_ii, then pivots
+    u = {}  # u[j] = U_pj = -W_pj
+    for j, p in sorted(lower.items(), reverse=True):
+        t = cartan_matrix(d)[p - 1][j - 1] * (2 / lengths[p - 1])  # T_pj
+        u[j] = -t / e[j]
+        e[p] += t * u[j]
+    g = {(1, 1): e[1].invert()}
+    for j, p in sorted(lower.items()):
+        g[j, j] = e[j].invert() + u[j] * u[j] * g[p, p]
+        for i in range(1, j):
+            g[i, j] = g[j, i] = u[j] * g[i, p]
+    return tuple(tuple(g[i, j] for j in d.nodes) for i in d.nodes)
 
 
 # -- orders and root counts ----------------------------------------------

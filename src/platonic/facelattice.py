@@ -10,13 +10,16 @@ Every counting statement has a geometric counterpart: a face is the seed
 vertex's orbit under the face's generators, the d-faces around a c-face
 are one orbit of its stabilizer, and a whole class is a breadth-first
 closure on vertex sets (sorted tuples of indices into the exact vertex
-orbit, which each reflection permutes as the orbit sweep records).  The
-two routes are kept independent so one can check the other.
+orbit, which each reflection permutes as the orbit sweep records).  Each
+reflection is an involution, so the closure forms the image of each pair of
+faces it swaps once, as the orbit sweep does for points.  The two routes
+are kept independent so one can check the other.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .decoration import Decoration, DecorationError, End, chain, validate
 from .diagram import (ConsistencyError, Diagram, Family, group_order, is_platonic_chain,
@@ -49,13 +52,7 @@ def face_table(d: Diagram) -> tuple[Decoration, ...]:
     Row order matches the conventional tables: for each dimension first
     the left-seeded class, then the right-seeded (dual) one.
     """
-    left = chain(d, End.LEFT)
-    right = chain(d, End.RIGHT)
-    rows = []
-    for k in range(d.rank):
-        rows.append(left[k])
-        rows.append(right[k])
-    return tuple(rows)
+    return tuple(dec for pair in zip(chain(d, End.LEFT), chain(d, End.RIGHT)) for dec in pair)
 
 
 def locate_in_chain(d: Diagram, dec: Decoration) -> tuple[End, int]:
@@ -106,17 +103,31 @@ def vertex_table(d: Diagram, end: End) -> tuple[tuple[Point, ...], tuple[tuple[i
 
 
 def _closure(first: Face, perms) -> tuple[Face, ...]:
-    """Sorted breadth-first closure of one face under vertex permutations."""
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        face = frontier.pop()
-        for perm in perms:
-            image = tuple(sorted([perm[v] for v in face]))
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    return tuple(sorted(seen))
+    """Sorted breadth-first closure of one face under reflections' vertex perms.
+
+    A reflection is an involution: once face v maps to n, n is flagged as
+    known to map back, so each swapped pair's image is formed once.
+    """
+    if len(first) == 1:  # itemgetter of one index returns it bare: close (v, v)
+        return tuple((v,) for v, _ in _closure(first * 2, perms))
+    index = {first: 0}
+    order = [first]
+    known = [bytearray(1) for _ in perms]  # known[g][n]: n's image under g is found
+    for v, face in enumerate(order):  # order grows while swept
+        images = itemgetter(*face)
+        for perm, flags in zip(perms, known):
+            if flags[v]:
+                continue
+            image = tuple(sorted(images(perm)))
+            n = index.get(image)
+            if n is None:
+                n = index[image] = len(order)
+                order.append(image)
+                if n == len(flags):
+                    for f in known:
+                        f += bytes(n)
+            flags[n] = 1
+    return tuple(sorted(order))
 
 
 def _representative(perms, dec: Decoration) -> Face:
@@ -210,22 +221,18 @@ def meeting_note(d: Diagram, end: End, c: int, dim_d: int) -> str | None:
 def report(d: Diagram, end: End) -> dict:
     """Structured face report for one polytope (fixed JSON field names)."""
     decs = chain(d, end)
-    rows = []
-    for dec in decs:
-        rows.append({
-            "decoration": dec.text,
-            "d": dec.dimension,
-            "v": dec.dual_dimension,
-            "face_nodes": sorted(dec.filled_nodes),
-            "stab_nodes": sorted(dec.open_nodes),
-            "count": face_count(d, dec),
-        })
-    meets = []
-    for k in range(1, d.rank):
-        meets.append({
-            "c": k - 1,
-            "d": k,
-            "ratio": stabilizer_ratio(d, decs[k - 1], decs[k]),
-            "geometric": incidence_count(d, decs[k - 1], decs[k]),
-        })
+    rows = [{
+        "decoration": dec.text,
+        "d": dec.dimension,
+        "v": dec.dual_dimension,
+        "face_nodes": sorted(dec.filled_nodes),
+        "stab_nodes": sorted(dec.open_nodes),
+        "count": face_count(d, dec),
+    } for dec in decs]
+    meets = [{
+        "c": k - 1,
+        "d": k,
+        "ratio": stabilizer_ratio(d, decs[k - 1], decs[k]),
+        "geometric": incidence_count(d, decs[k - 1], decs[k]),
+    } for k in range(1, d.rank)]
     return {"diagram": d.name, "end": end.value, "rows": rows, "meets": meets}

@@ -14,13 +14,19 @@ Claims:
     - weight Gram matrices are symmetric positive definite; C and the weight
       Gram agree with the simple-root Gram matrix A built from the labels:
       C = 2 A diag(l)^-1 and G = C^-1 A C^-T
+    - the one-elimination weight Gram equals Gauss-Jordan's C^-1 diag(l)/2
+      on all 95 diagrams of rank <= 24, and G (2 L^-1 C) = I exactly; a node
+      with two lower neighbours raises ConsistencyError, also under -O
     - group orders and root counts match the classical values
     - parabolic subsets classify componentwise with multiplicative orders,
       and every parabolic order is the orbit size of a regular point
 """
 
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +34,7 @@ from itertools import combinations
 
 from conftest import all_diagrams, chain_diagrams, matmul, transpose
 from platonic import (
+    ConsistencyError,
     Diagram,
     DiagramError,
     Family,
@@ -41,13 +48,31 @@ from platonic import (
     parse_name,
     root_count,
 )
-from platonic.diagram import _TYPES, _bonds, _components, _root_lengths_sq, matrix_inverse
+from platonic.diagram import _TYPES, _bonds, _components, _root_lengths_sq
 from platonic.orbit import as_point, orbit
 from platonic.qsqrt5 import GOLDEN, ONE, QSqrt5, ZERO
 
 
 def q(*values):
     return tuple(QSqrt5(v) for v in values)
+
+
+def matrix_inverse(x):
+    """Exact inverse by Gauss-Jordan elimination: the reference for the weight Gram."""
+    n = len(x)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(x)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        scale = aug[col][col].invert()
+        aug[col] = [v * scale for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def matrix_determinant(x):
@@ -315,6 +340,56 @@ class TestGram:
                               for row in roots), d.name
             c_inv = matrix_inverse(c)
             assert gram_matrix_weights(d) == matmul(matmul(c_inv, roots), transpose(c_inv)), d.name
+
+    @pytest.mark.parametrize("families", [
+        (Family.A,), (Family.B,), (Family.C,), (Family.D,),
+        (Family.F4, Family.H2, Family.H3, Family.H4),
+    ], ids=["A", "B", "C", "D", "F4-H"])
+    def test_elimination_equals_gauss_jordan(self, families):
+        # G_ij = (C^-1)_ij l_j / 2 on A1-A24, B2-B24, C2-C24, D4-D24, F4, H2-H4
+        for d in (d for d in all_diagrams(24) if d.family in families):
+            halves = [length / 2 for length in _root_lengths_sq(d)]
+            expected = tuple(tuple(v * h for v, h in zip(row, halves))
+                             for row in matrix_inverse(cartan_matrix(d)))
+            assert gram_matrix_weights(d) == expected, d.name
+
+    def test_gram_times_inverse_is_identity(self):
+        # T = 2 L^-1 C, T_kj = 2 C_kj / l_k, nonzero only at the diagonal and bonds
+        diagrams = all_diagrams(24)
+        assert len(diagrams) == 95
+        for d in diagrams:
+            g, c, lengths = gram_matrix_weights(d), cartan_matrix(d), _root_lengths_sq(d)
+            t = [[(k, c[k][j] * 2 / lengths[k]) for k in range(d.rank) if c[k][j]]
+                 for j in range(d.rank)]
+            product = tuple(tuple(sum((row[k] * v for k, v in col), ZERO) for col in t)
+                            for row in g)
+            assert product == tuple(tuple(ONE if i == j else ZERO for j in range(d.rank))
+                                    for i in range(d.rank)), d.name
+
+    def test_two_lower_neighbours_raise(self):
+        # node 3 above both 1 and 2: no Diagram admits these edges, so the
+        # function behind the cache gets a stand-in carrying them
+        fork = SimpleNamespace(name="fork", edges=((1, 3, 3), (2, 3, 3)))
+        with pytest.raises(ConsistencyError, match="node 3 of fork has two lower neighbours"):
+            gram_matrix_weights.__wrapped__(fork)
+
+    def test_two_lower_neighbours_raise_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from types import SimpleNamespace\n"
+            "from platonic import ConsistencyError, gram_matrix_weights\n"
+            "if __debug__:\n"
+            "    sys.exit('not running under -O')\n"
+            "fork = SimpleNamespace(name='fork', edges=((1, 3, 3), (2, 3, 3)))\n"
+            "try:\n"
+            "    gram_matrix_weights.__wrapped__(fork)\n"
+            "except ConsistencyError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_inverse_helper(self):
         c = cartan_matrix(build(Family.H4, 4))

@@ -10,6 +10,10 @@ Claims:
     - Euler alternating sums, mirror/dual symmetries and edge-length
       uniformity hold across the supported range
     - index faces map back to the faces of the point-set enumeration
+    - the pair-once closure equals the plain breadth-first closure on every
+      class of rank <= 8 at both ends, on B9 right and on every face group's
+      vertex closure, and forms one image per fixed (face, reflection) and one
+      per swapped pair, not one per face and reflection
     - the c-faces inside a representative d-face are counted by the
       formula on the sub-diagram of its filled nodes (the paper's recursion)
     - the distinct k-faces around a c-face are counted by the formula on
@@ -241,6 +245,71 @@ def point_set_faces(d, c):
                 seen.add(image)
                 frontier.append(image)
     return seen
+
+
+def reference_closure(first, perms):
+    """The plain closure: every image of every face under every perm."""
+    seen = {first}
+    frontier = [first]
+    while frontier:
+        face = frontier.pop()
+        for perm in perms:
+            image = tuple(sorted([perm[v] for v in face]))
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return tuple(sorted(seen))
+
+
+def classes(d, end):
+    """Each class of one polytope as (representative face, vertex perms)."""
+    perms = vertex_table(d, end)[1]
+    return [(_representative(perms, c), perms) for c in chain(d, end)]
+
+
+class CountingPerm(tuple):
+    """A vertex permutation that counts the lookups made through it."""
+
+    lookups = 0
+
+    def __getitem__(self, v):
+        CountingPerm.lookups += 1
+        return tuple.__getitem__(self, v)
+
+
+class TestClosure:
+    def test_equals_reference_on_every_class_to_rank_8(self):
+        cases = [case for d in chain_diagrams(8) for end in (End.LEFT, End.RIGHT)
+                 for case in classes(d, end)]
+        assert len(cases) == 238
+        for first, perms in cases:
+            assert facelattice._closure(first, perms) == reference_closure(first, perms)
+
+    def test_equals_reference_on_b9_right(self):
+        for first, perms in classes(parse_name("B9"), End.RIGHT):
+            assert facelattice._closure(first, perms) == reference_closure(first, perms)
+
+    def test_representatives_equal_reference(self):
+        for d in chain_diagrams(8):
+            for end in (End.LEFT, End.RIGHT):
+                perms = vertex_table(d, end)[1]
+                for c in chain(d, end):
+                    face_perms = [perms[i - 1] for i in c.filled_nodes]
+                    assert facelattice._closure((0,), face_perms) == \
+                        reference_closure((0,), face_perms), (d.name, end, c.text)
+
+    @pytest.mark.parametrize("name,end", [("H4", End.RIGHT), ("B6", End.RIGHT)])
+    def test_one_image_per_fixed_face_and_per_swapped_pair(self, name, end):
+        for first, perms in classes(parse_name(name), end)[1:]:  # faces of 2+ vertices
+            faces = reference_closure(first, perms)
+            moved = sum(tuple(sorted(perm[v] for v in face)) != face
+                        for face in faces for perm in perms)
+            fixed = len(perms) * len(faces) - moved
+            CountingPerm.lookups = 0
+            got = facelattice._closure(first, [CountingPerm(perm) for perm in perms])
+            assert got == faces
+            assert CountingPerm.lookups == len(first) * (fixed + moved // 2)
+            assert fixed + moved // 2 < len(perms) * len(faces)
 
 
 class TestPointSetOracle:
