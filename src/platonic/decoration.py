@@ -175,13 +175,3 @@ def chain(d: Diagram, end: End) -> tuple[Decoration, ...]:
     if len(out) != d.rank:
         raise ConsistencyError(f"chain has {len(out)} decorations, rank is {d.rank}")
     return tuple(out)
-
-
-def dual_read(dec: Decoration) -> tuple[int, frozenset[int], frozenset[int]]:
-    """Read a decoration as a face of the dual polytope.
-
-    Returns ``(dimension, face_nodes, stabilizer_nodes)``: open nodes
-    generate the dual face's symmetry group and filled nodes its pointwise
-    stabilizer, the mirror image of the primal reading.
-    """
-    return (dec.dual_dimension, dec.open_nodes, dec.filled_nodes)

@@ -82,15 +82,6 @@ class Diagram:
         """Node indices 1..rank."""
         return range(1, self.rank + 1)
 
-    def label(self, i: int, j: int) -> int:
-        if i == j:
-            return 1
-        key = (i, j) if i < j else (j, i)
-        for a, b, m in self.edges:
-            if (a, b) == key:
-                return m
-        return 2
-
     def neighbors(self, i: int) -> tuple[int, ...]:
         return tuple(sorted(b if a == i else a for a, b, _ in self.edges if i in (a, b)))
 

@@ -59,11 +59,10 @@ def _fits(d: Diagram, x, what: str = "point") -> None:
 
 @dataclass(frozen=True)
 class OrbitResult:
-    """Closure of one seed under a set of generating reflections; ``perms[k][v]``
+    """Closure of the seed ``points[0]`` under generating reflections; ``perms[k][v]``
     is the index of ``points[v]`` reflected by the k-th generator in ascending order."""
 
     points: tuple[Point, ...]
-    seed: Point
     perms: tuple[tuple[int, ...], ...]
 
     @property
@@ -157,7 +156,7 @@ def _orbit(d: Diagram, seed: Point, gens: tuple[int, ...]) -> OrbitResult:
         if reflect(d, i, seed) != points[perm[0]]:
             raise ConsistencyError(
                 f"orbit sweep in {d.name} disagrees with reflect at node {i}")
-    return OrbitResult(points, seed, perms)
+    return OrbitResult(points, perms)
 
 
 def _sweep(d: Diagram, seed: Point, gens: tuple[int, ...], pairs, scale: int, k: int):
@@ -250,14 +249,14 @@ def norm_sq(d: Diagram, x: Point) -> QSqrt5:
     return inner(d, x, x)
 
 
-def random_point(d: Diagram, rng, *, golden_part: bool = True) -> Point:
-    """Random exact point with small rational (and optional root-5) parts.
+def random_point(d: Diagram, rng) -> Point:
+    """Random exact point with small rational and root-5 parts.
 
     Intended for property checks; ``rng`` is a seeded random.Random.
     """
     coords = []
     for _ in d.nodes:
         n1, d1 = rng.randint(-9, 9), rng.randint(1, 4)
-        n2, d2 = (rng.randint(-3, 3), rng.randint(1, 3)) if golden_part else (0, 1)
+        n2, d2 = rng.randint(-3, 3), rng.randint(1, 3)
         coords.append(_make(n1 * d2, n2 * d1, d1 * d2))
     return tuple(coords)

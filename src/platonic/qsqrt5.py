@@ -48,7 +48,6 @@ def _make(p: int, q: int, r: int) -> "QSqrt5":
     x._p = p
     x._q = q
     x._r = r
-    x._hash = None
     return x
 
 
@@ -80,7 +79,7 @@ class QSqrt5:
     int slots are private.
     """
 
-    __slots__ = ("_p", "_q", "_r", "_hash")
+    __slots__ = ("_p", "_q", "_r")
 
     def __init__(self, a: Rational = 0, b: Rational = 0):
         if isinstance(a, float) or isinstance(b, float):
@@ -96,7 +95,6 @@ class QSqrt5:
         self._p = p
         self._q = q
         self._r = r
-        self._hash = None
 
     @property
     def a(self) -> Fraction:
@@ -222,18 +220,13 @@ class QSqrt5:
         return (self - o).sign() < 0
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            # rational values hash like the underlying Fraction so that
-            # x == Fraction(...) implies equal hashes; others as (a, b)
-            p, q, r = self._p, self._q, self._r
-            if r == 1:
-                h = hash((p, q)) if q else hash(p)
-            else:
-                a = Fraction(p, r)
-                h = hash((a, Fraction(q, r))) if q else hash(a)
-            self._hash = h
-        return h
+        # rational values hash like the underlying Fraction so that
+        # x == Fraction(...) implies equal hashes; others as (a, b)
+        p, q, r = self._p, self._q, self._r
+        if r == 1:
+            return hash((p, q)) if q else hash(p)
+        a = Fraction(p, r)
+        return hash((a, Fraction(q, r))) if q else hash(a)
 
     # -- conversions -----------------------------------------------------
 

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import facelattice
-from .decoration import End, chain, dual_read
+from .decoration import End, chain
 from .diagram import (
     ConsistencyError,
     Diagram,
@@ -265,7 +265,7 @@ def check_structural_properties(result: CheckResult) -> None:
     for d in _chain_diagrams():
         for end in (End.LEFT, End.RIGHT):
             for dec in chain(d, end):
-                _dim, face_nodes, stab_nodes = dual_read(dec)
+                face_nodes, stab_nodes = dec.open_nodes, dec.filled_nodes
                 via_dual = group_order(d) // (
                     parabolic_order(d, face_nodes) * parabolic_order(d, stab_nodes)
                 )

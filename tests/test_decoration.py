@@ -26,7 +26,6 @@ from platonic import (
     Symbol,
     build,
     chain,
-    dual_read,
     seed,
     step,
     validate,
@@ -178,20 +177,23 @@ class TestCachedChain:
                 assert located == (found[0] if found else None), c.text
 
 
+def dual(c):
+    """The dual reading: dimension, face group nodes, stabilizer nodes."""
+    return c.dual_dimension, c.open_nodes, c.filled_nodes
+
+
 class TestDualRead:
     def test_vertex_class(self):
-        assert dual_read(dec("soo")) == (2, frozenset({2, 3}), frozenset())
+        assert dual(dec("soo")) == (2, frozenset({2, 3}), frozenset())
 
     def test_edge_class(self):
-        assert dual_read(dec("fso")) == (1, frozenset({3}), frozenset({1}))
+        assert dual(dec("fso")) == (1, frozenset({3}), frozenset({1}))
 
     def test_top_class(self):
-        assert dual_read(dec("ffs")) == (0, frozenset(), frozenset({1, 2}))
+        assert dual(dec("ffs")) == (0, frozenset(), frozenset({1, 2}))
 
     def test_mirror_of_primal(self):
+        # a left k-face class read dually is the right (n-1-k)-face class
         for d in chain_diagrams(6):
-            for c in chain(d, End.LEFT):
-                v, face_nodes, stab_nodes = dual_read(c)
-                assert v == c.dual_dimension
-                assert face_nodes == c.open_nodes
-                assert stab_nodes == c.filled_nodes
+            for c, r in zip(chain(d, End.LEFT), reversed(chain(d, End.RIGHT))):
+                assert dual(c) == (r.dimension, r.filled_nodes, r.open_nodes), (d.name, c.text)

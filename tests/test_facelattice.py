@@ -47,7 +47,6 @@ from platonic import (
     build,
     chain,
     cli,
-    dual_read,
     enumerate_faces,
     euler_sum,
     face_count,
@@ -600,7 +599,7 @@ class TestDuality:
         for d in chain_diagrams(7):
             for end in (End.LEFT, End.RIGHT):
                 for c in chain(d, end):
-                    _v, face_nodes, stab_nodes = dual_read(c)
+                    face_nodes, stab_nodes = c.open_nodes, c.filled_nodes
                     via_dual = group_order(d) // (
                         parabolic_order(d, face_nodes) * parabolic_order(d, stab_nodes)
                     )
