@@ -27,7 +27,6 @@ from .decoration import (
     Decoration,
     DecorationError,
     End,
-    Symbol,
     chain,
     seed,
     step,
@@ -64,7 +63,7 @@ __all__ = [
     "ConsistencyError", "Diagram", "DiagramError", "Family", "build", "cartan_matrix",
     "classify_parabolic", "gram_matrix_weights", "group_order",
     "is_platonic_chain", "parabolic_order", "parse_name", "root_count",
-    "Decoration", "DecorationError", "End", "Symbol", "chain",
+    "Decoration", "DecorationError", "End", "chain",
     "seed", "step", "validate",
     "OrbitResult", "Point", "as_point", "fundamental_weight", "inner",
     "norm_sq", "orbit", "point_sub", "reflect", "stabilizer_order_of_point",

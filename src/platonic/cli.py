@@ -118,19 +118,18 @@ def cmd_enumerate(args, d, end) -> int:
             raise DecorationError(f"dimension {k} outside 0..{d.rank - 1}")
         dec = decs[k]
         count = facelattice.face_count(d, dec)
-        enumerated = len(facelattice.enumerate_faces(d, dec))
+        enumerated = len(facelattice.enumerate_faces(d, dec))  # raises unless it is count
         classes.append({
             "d": k, "decoration": dec.text,
             "count": count, "enumerated": enumerated,
-            "match": count == enumerated,
+            "match": True,
         })
     if args.json:
         print(canonical_json({"diagram": d.name, "end": end.value, "classes": classes}))
         return 0
     for row in classes:
-        flag = "ok" if row["match"] else "MISMATCH"
         print(f"d={row['d']} ({row['decoration']}): {row['enumerated']} faces "
-              f"enumerated, formula {row['count']} [{flag}]")
+              f"enumerated, formula {row['count']} [ok]")
     return 0
 
 
@@ -240,7 +239,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader has gone; the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (DiagramError, DecorationError, ConsistencyError, ValueError, OSError) as exc:
+    except (ConsistencyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

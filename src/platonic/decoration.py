@@ -23,13 +23,7 @@ from functools import lru_cache
 from .diagram import ConsistencyError, Diagram, is_platonic_chain
 
 
-class Symbol(str, Enum):
-    SQUARE = "s"
-    OPEN = "o"
-    FILLED = "f"
-
-
-_PRETTY = {Symbol.SQUARE: "□", Symbol.OPEN: "◊", Symbol.FILLED: "◆"}
+_PRETTY = str.maketrans("sof", "□◊◆")
 
 
 class End(str, Enum):
@@ -43,54 +37,53 @@ class DecorationError(ValueError):
 
 @dataclass(frozen=True)
 class Decoration:
-    symbols: tuple[Symbol, ...]
+    """One mark per node: s (square), o (open), f (filled)."""
+
+    text: str
+
+    def __post_init__(self) -> None:
+        if not set(self.text) <= set("sof"):
+            raise DecorationError(f"bad decoration text {self.text!r}")
 
     @classmethod
     def from_text(cls, text: str) -> "Decoration":
-        """Build from one character per node: s (square), o (open), f (filled)."""
-        try:
-            return cls(tuple(Symbol(ch) for ch in text.lower()))
-        except ValueError as exc:
-            raise DecorationError(f"bad decoration text {text!r}") from exc
-
-    @property
-    def text(self) -> str:
-        return "".join(sym.value for sym in self.symbols)
+        """Build from the marks in either case."""
+        return cls(text.lower())
 
     @property
     def pretty(self) -> str:
-        return "".join(_PRETTY[sym] for sym in self.symbols)
+        return self.text.translate(_PRETTY)
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.text)
 
-    def _nodes_of(self, symbol: Symbol) -> frozenset[int]:
-        return frozenset(i + 1 for i, sym in enumerate(self.symbols) if sym is symbol)
+    def _nodes_of(self, mark: str) -> frozenset[int]:
+        return frozenset(i + 1 for i, m in enumerate(self.text) if m == mark)
 
     @property
     def filled_nodes(self) -> frozenset[int]:
-        return self._nodes_of(Symbol.FILLED)
+        return self._nodes_of("f")
 
     @property
     def open_nodes(self) -> frozenset[int]:
-        return self._nodes_of(Symbol.OPEN)
+        return self._nodes_of("o")
 
     @property
     def square_nodes(self) -> frozenset[int]:
-        return self._nodes_of(Symbol.SQUARE)
+        return self._nodes_of("s")
 
     @property
     def dimension(self) -> int:
         """Dimension of the face this decoration describes."""
-        return sum(1 for sym in self.symbols if sym is Symbol.FILLED)
+        return self.text.count("f")
 
     @property
     def dual_dimension(self) -> int:
         """Dimension of the corresponding face of the dual polytope."""
-        return sum(1 for sym in self.symbols if sym is Symbol.OPEN)
+        return self.text.count("o")
 
     def reversed(self) -> "Decoration":
-        return Decoration(self.symbols[::-1])
+        return Decoration(self.text[::-1])
 
     def __str__(self) -> str:
         return self.pretty
@@ -106,9 +99,8 @@ def validate(d: Diagram, dec: Decoration) -> bool:
         raise DecorationError(
             f"decoration of length {len(dec)} does not fit rank {d.rank}"
         )
-    clash = {Symbol.OPEN, Symbol.FILLED}
     for i, j, _ in d.edges:
-        if {dec.symbols[i - 1], dec.symbols[j - 1]} == clash:
+        if {dec.text[i - 1], dec.text[j - 1]} == {"o", "f"}:
             return False
     return True
 
@@ -123,9 +115,8 @@ def seed(d: Diagram, end: End) -> Decoration:
         raise DecorationError(
             f"{d.name} is not a branch-free chain; no single-orbit seed exists"
         )
-    symbols = [Symbol.OPEN] * d.rank
-    symbols[0 if end is End.LEFT else d.rank - 1] = Symbol.SQUARE
-    return Decoration(tuple(symbols))
+    text = "s" + "o" * (d.rank - 1)
+    return Decoration(text if end is End.LEFT else text[::-1])
 
 
 def step(d: Diagram, dec: Decoration) -> tuple[Decoration, ...]:
@@ -146,12 +137,12 @@ def step(d: Diagram, dec: Decoration) -> tuple[Decoration, ...]:
         raise DecorationError("terminal decoration: no open node remains")
     out: list[Decoration] = []
     for s in squares:
-        symbols = list(dec.symbols)
-        symbols[s - 1] = Symbol.FILLED
+        marks = list(dec.text)
+        marks[s - 1] = "f"
         for nb in d.neighbors(s):
-            if symbols[nb - 1] is Symbol.OPEN:
-                symbols[nb - 1] = Symbol.SQUARE
-        out.append(Decoration(tuple(symbols)))
+            if marks[nb - 1] == "o":
+                marks[nb - 1] = "s"
+        out.append(Decoration("".join(marks)))
     return tuple(out)
 
 

@@ -56,11 +56,14 @@ def face_table(d: Diagram) -> tuple[Decoration, ...]:
 
 
 def locate_in_chain(d: Diagram, dec: Decoration) -> tuple[End, int]:
-    """Which chain (seed end) and dimension a decoration belongs to."""
-    for end in (End.LEFT, End.RIGHT):
-        seq = chain(d, end)
-        if dec in seq:
-            return end, seq.index(dec)
+    """Which chain (seed end) and dimension a decoration belongs to.
+
+    Each chain holds one decoration per dimension, at that dimension's index.
+    """
+    if dec.dimension < d.rank:
+        for end in (End.LEFT, End.RIGHT):
+            if chain(d, end)[dec.dimension] == dec:
+                return end, dec.dimension
     raise DecorationError(f"decoration {dec.text} is not in either chain of {d.name}")
 
 

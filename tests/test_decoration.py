@@ -1,6 +1,7 @@
 """Decoration grammar, recursion and dual reading.
 
 Claims:
+    - a decoration is a string of s/o/f marks; any other character raises
     - the grammar forbids open next to filled across any bond
     - seeds put one square at an extreme node of a chain
     - the single-square recursion is deterministic and produces, at step
@@ -23,7 +24,6 @@ from platonic import (
     DecorationError,
     End,
     Family,
-    Symbol,
     build,
     chain,
     seed,
@@ -62,6 +62,12 @@ class TestValidate:
         assert Decoration.from_text(d.text) == d
         with pytest.raises(DecorationError):
             Decoration.from_text("fxo")
+
+    def test_mark_outside_sof_raises(self):
+        for text in ("fxo", "SOO", "s o", "◆◆□"):
+            with pytest.raises(DecorationError):
+                Decoration(text)
+        assert Decoration.from_text("SOO") == Decoration("soo")
 
 
 class TestSeed:
@@ -167,8 +173,8 @@ class TestCachedChain:
     def test_locate_matches_linear_search(self):
         for d in chain_diagrams(8):
             chains = [(end, chain.__wrapped__(d, end)) for end in (End.LEFT, End.RIGHT)]
-            for symbols in itertools.product(tuple(Symbol), repeat=d.rank):
-                c = Decoration(symbols)
+            for marks in itertools.product("sof", repeat=d.rank):
+                c = Decoration("".join(marks))
                 found = [(end, seq.index(c)) for end, seq in chains if c in seq]
                 try:
                     located = locate_in_chain(d, c)

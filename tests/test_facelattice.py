@@ -205,6 +205,12 @@ class TestRealize:
         with pytest.raises(DecorationError):
             locate_in_chain(h4, dec("ffff"))
 
+    def test_locate_wrong_length_raises(self):
+        a3 = parse_name("A3")
+        for text in ("ffff", "s"):
+            with pytest.raises(DecorationError):
+                locate_in_chain(a3, dec(text))
+
 
 class TestEnumerate:
     def test_octahedron_triangles(self):
@@ -610,7 +616,7 @@ class TestDuality:
             a = build(Family.A, n)
             left, right = chain(a, End.LEFT), chain(a, End.RIGHT)
             for k in range(n):
-                assert left[k].symbols == right[k].symbols[::-1]
+                assert left[k].text == right[k].text[::-1]
                 assert face_count(a, left[k]) == face_count(a, right[k])
 
     def test_bc_tables(self):
