@@ -8,9 +8,9 @@ of a label-4 bond; bonds, root lengths, orders, name and parsing read it.
 Nodes are numbered 1..n left to right as the diagrams are conventionally
 drawn; an absent edge means the two mirrors commute (label 2).
 
-A ``Diagram`` is checked when it is made: its edges must be the bonds of
-its family at its rank.  The module derives everything combinatorial and
-metric from a diagram: Cartan matrix C, Gram matrix of the fundamental
+A ``Diagram`` is its family and rank; its edges are that family's bonds,
+built once when it is made.  The module derives everything combinatorial
+and metric from a diagram: Cartan matrix C, Gram matrix of the fundamental
 weights (one elimination of its inverse 2 L^-1 C along the bonds, with no
 general matrix inverse), group order, root count, and the finite type of
 each parabolic subgroup, read off the bonds of a node subset.
@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 from .qsqrt5 import GOLDEN, ONE, QSqrt5, ZERO
 
@@ -52,21 +52,21 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Diagram:
-    """A Coxeter-Dynkin diagram: family, rank and labelled edges.
+    """A Coxeter-Dynkin diagram, fixed by its family and rank.
 
-    ``edges`` holds triples ``(i, j, m)`` with ``i < j`` and label
-    ``m in {3, 4, 5}``; every unlisted pair has label 2.  Raises
-    DiagramError unless they are the family's bonds at an admissible rank.
+    ``edges``, the family's bonds at that rank, holds triples ``(i, j, m)``
+    with ``i < j`` and label ``m in {3, 4, 5}``; every unlisted pair has
+    label 2.  Raises DiagramError unless the rank is admissible.
     """
 
     family: Family
     rank: int
-    edges: tuple[tuple[int, int, int], ...]
+    edges: tuple[tuple[int, int, int], ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.edges != _bonds(self.family, self.rank):
-            raise DiagramError(f"edges {self.edges} are not the bonds of {self.name}")
-        # every cache keyed by a diagram hashes it; the edges follow from these two
+        object.__setattr__(self, "edges", _bonds(self.family, self.rank))
+        # every cache keyed by a diagram hashes it, and the generated hash would
+        # hash ``family`` through Enum's Python-level __hash__ on each lookup
         object.__setattr__(self, "_hash", hash((self.family.value, self.rank)))
 
     def __hash__(self) -> int:
@@ -120,13 +120,13 @@ def _bonds(family: Family, rank: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(chain)
 
 
-@cache
+@lru_cache(maxsize=256)
 def build(family: Family, rank: int) -> Diagram:
     """Construct the diagram of the given family and rank.
 
     Raises DiagramError when the rank is not admissible for the family.
     """
-    return Diagram(family, rank, _bonds(family, rank))
+    return Diagram(family, rank)
 
 
 _NAME_RE = re.compile(r"([a-hA-H])\s*([0-9]+)")
@@ -153,7 +153,7 @@ def _root_lengths_sq(d: Diagram) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if short == ("right" if i > cut else "left") else 2) for i in d.nodes)
 
 
-@cache
+@lru_cache(maxsize=256)
 def cartan_matrix(d: Diagram) -> MatrixQ:
     """Cartan matrix C with C_ij = 2 (a_i|a_j) / (a_j|a_j), read off the bonds.
 
@@ -171,7 +171,7 @@ def cartan_matrix(d: Diagram) -> MatrixQ:
     return tuple(map(tuple, rows))
 
 
-@cache
+@lru_cache(maxsize=256)
 def gram_matrix_weights(d: Diagram) -> MatrixQ:
     """Gram matrix G of the fundamental weights, the inverse of T = 2 L^-1 C.
 

@@ -71,7 +71,7 @@ def _common_end(d: Diagram, dec_c: Decoration, dec_d: Decoration) -> None:
     """Raise unless a c-face and a d-face class share a seed end and c < d."""
     end_c, dim_c = locate_in_chain(d, dec_c)
     end_d, dim_d = locate_in_chain(d, dec_d)
-    if end_c is not end_d and d.rank > 1:
+    if end_c is not end_d:
         raise DecorationError("decorations come from different seed ends")
     if dim_c >= dim_d:
         raise DecorationError(f"need dimensions c < d, got {dim_c} >= {dim_d}")

@@ -27,7 +27,7 @@ Points whose length is not the rank raise ``ValueError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import lcm
 
 from .diagram import ConsistencyError, Diagram, cartan_matrix, gram_matrix_weights, group_order
@@ -70,14 +70,14 @@ class OrbitResult:
         return len(self.points)
 
 
-@cache
+@lru_cache(maxsize=256)
 def _sparse_rows(d: Diagram) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
     """Nonzero Cartan entries per row, as (0-based column, p, q, r) for ``(p + q√5)/r``."""
     return tuple(tuple((j, v._p, v._q, v._r) for j, v in enumerate(row) if v)
                  for row in cartan_matrix(d))
 
 
-@cache
+@lru_cache(maxsize=256)
 def _zphi_rows(d: Diagram) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """``_sparse_rows`` in Z[phi]: (0-based column, c, e) with ``(p + q√5)/r == c + e*phi``."""
     rows = _sparse_rows(d)
@@ -218,7 +218,7 @@ def stabilizer_order_of_point(d: Diagram, seed: Point) -> int:
     return total // size
 
 
-@cache
+@lru_cache(maxsize=256)
 def _int_gram(d: Diagram) -> tuple[tuple[tuple[int, int], ...], int]:
     """``_pairs`` of the weight Gram matrix, read row after row."""
     return _pairs(sum(gram_matrix_weights(d), ()))

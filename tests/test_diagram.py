@@ -2,9 +2,12 @@
 
 Claims:
     - builders produce the documented chains and the D fork, and reject
-      bad family/rank pairs and unknown names; a hand-built diagram is
-      rejected unless its edges are its family's bonds; equal diagrams hash
-      equal, so built, parsed and hand-built ones are the same dict key
+      bad family/rank pairs and unknown names; a diagram is its family and
+      rank, makes its family's bonds once, and a hand-built one is rejected
+      at a bad rank; equal diagrams hash equal, so built, parsed and
+      hand-built ones are the same dict key
+    - ``build`` keeps the 256 most recently used diagrams, and one built
+      again after eviction equals and hashes like a fresh one
     - the family table gives the same bonds, root lengths, orders, root
       counts, names and parses as per-family code, at every rank 0..24
     - Cartan matrices follow the convention fixed by the orbit counts
@@ -48,6 +51,7 @@ from platonic import (
     parse_name,
     root_count,
 )
+import platonic.diagram as diagram_module
 from platonic.diagram import _TYPES, _bonds, _components, _root_lengths_sq
 from platonic.orbit import as_point, orbit
 from platonic.qsqrt5 import GOLDEN, ONE, QSqrt5, ZERO
@@ -136,20 +140,43 @@ class TestBuild:
                 parse_name(bad)
 
     def test_hand_built_diagram_checked(self):
-        assert Diagram(Family.H3, 3, ((1, 2, 3), (2, 3, 5))) == build(Family.H3, 3)
-        for family, rank, edges in ((Family.A, 3, ((1, 2, 5), (2, 3, 3))),
-                                    (Family.A, 0, ()),
-                                    (Family.B, 3, ((1, 2, 3),)),
-                                    (Family.D, 4, ((1, 2, 3), (2, 3, 3), (3, 4, 3)))):
-            with pytest.raises(DiagramError):
-                Diagram(family, rank, edges)
+        h3 = Diagram(Family.H3, 3)
+        assert h3 == build(Family.H3, 3) and h3.edges == ((1, 2, 3), (2, 3, 5))
+        for family, rank in ((Family.A, 0), (Family.B, 1), (Family.D, 3), (Family.H2, 3)):
+            with pytest.raises(DiagramError, match=f"invalid rank {rank} "):
+                Diagram(family, rank)
+
+    def test_bonds_made_once_per_diagram(self, monkeypatch):
+        calls = []
+
+        def counted(family, rank):
+            calls.append((family, rank))
+            return _bonds(family, rank)
+
+        monkeypatch.setattr(diagram_module, "_bonds", counted)
+        build.cache_clear()
+        d = build(Family.B, 5)
+        assert calls == [(Family.B, 5)]
+        assert build(Family.B, 5) is d and len(calls) == 1
+        assert d.edges == reference_bonds(Family.B, 5)
+
+    def test_build_keeps_256_diagrams(self):
+        build.cache_clear()
+        first = build(Family.A, 1)
+        for n in range(1, 301):
+            build(Family.A, n)
+        assert build.cache_info().currsize == build.cache_info().maxsize == 256
+        again, fresh = build(Family.A, 1), Diagram(Family.A, 1)
+        assert again is not first and again == first == fresh
+        assert hash(again) == hash(first) == hash(fresh)
+        assert again.edges == fresh.edges == reference_bonds(Family.A, 1)
 
     def test_hash_is_value_based(self):
         diagrams = all_diagrams(8)
         for d in diagrams:
             # ``build`` is cached, so a hand-built twin is the other instance
             built, parsed = build(d.family, d.rank), parse_name(d.name)
-            twin = Diagram(d.family, d.rank, d.edges)
+            twin = Diagram(d.family, d.rank)
             assert twin is not built and twin == built == parsed, d.name
             assert hash(twin) == hash(built) == hash(parsed), d.name
             table = {built: d.name}
@@ -220,7 +247,10 @@ def reference_parse_name(name):
         family = Family(f"H{rank}")
     else:
         raise DiagramError(f"unknown diagram name: {name!r}")
-    return Diagram(family, rank, reference_bonds(family, rank))
+    d = Diagram(family, rank)
+    # the constructor makes the bonds without comparing them, so the oracle does
+    assert d.edges == reference_bonds(family, rank), name
+    return d
 
 
 def outcome(fn, *args):
@@ -241,6 +271,7 @@ class TestFamilyTable:
                 if bonds is DiagramError:
                     continue
                 d = build(family, rank)
+                assert d.edges == bonds, d.name
                 assert _root_lengths_sq(d) == reference_root_lengths_sq(family, rank), d.name
                 order_and_roots = _TYPES[reference_type(family)](rank)
                 assert (group_order(d), root_count(d)) == order_and_roots, d.name

@@ -148,6 +148,11 @@ class TestStabilizerRatio:
         decs = chain(a4, End.LEFT)
         with pytest.raises(DecorationError):
             stabilizer_ratio(a4, decs[2], decs[1])
+        # A1's two chains are both ("s",), so its only pair fails on dimension
+        a1 = parse_name("A1")
+        for meet in (stabilizer_ratio, incidence_count):
+            with pytest.raises(DecorationError, match="need dimensions c < d"):
+                meet(a1, chain(a1, End.LEFT)[0], chain(a1, End.RIGHT)[0])
 
     def test_telescoping(self):
         for d in chain_diagrams(6):

@@ -4,6 +4,10 @@ Claims:
     - no module of ``platonic`` imports a name it never reads, unless the
       import line carries ``# noqa: F401`` (pyflakes' code for it)
     - every name in ``platonic.__all__`` resolves
+    - every cache keyed by arguments is ``lru_cache(maxsize=256)``: no
+      function that takes arguments is decorated with ``functools.cache``
+      or with an ``lru_cache`` of any other bound, so a long-lived process
+      keeps at most 256 entries per table
 """
 
 import ast
@@ -52,6 +56,43 @@ def test_checker_finds_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def badly_cached(source: str) -> list[str]:
+    """Functions taking arguments whose cache is not ``lru_cache(maxsize=256)``."""
+    flagged = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        if not (a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            bound = ([kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+                     if call else [])
+            bounded = (len(bound) == 1 and isinstance(bound[0], ast.Constant)
+                       and bound[0].value == 256)
+            if name == "cache" or (name == "lru_cache" and not bounded):
+                flagged.append(node.name)
+    return flagged
+
+
+def test_checker_finds_a_cache_off_the_bound():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@cache\ndef a(x): pass\n@functools.cache\ndef b(*xs): pass\n"
+              "@lru_cache\ndef c(x): pass\n@lru_cache()\ndef d(x): pass\n"
+              "@lru_cache(maxsize=None)\ndef e(x): pass\n@lru_cache(128)\ndef f(x): pass\n"
+              "@cache\ndef parser(): pass\n@lru_cache(maxsize=256)\ndef g(x): pass\n"
+              "@functools.lru_cache(256)\ndef h(*, x): pass\n")
+    assert badly_cached(source) == ["a", "b", "c", "d", "e", "f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    assert badly_cached(path.read_text(encoding="utf-8")) == []
 
 
 def test_all_resolves():
