@@ -18,7 +18,6 @@ from .diagram import (
     classify_parabolic,
     gram_matrix_weights,
     group_order,
-    is_platonic_chain,
     parabolic_order,
     parse_name,
     root_count,
@@ -28,6 +27,7 @@ from .decoration import (
     DecorationError,
     End,
     chain,
+    is_platonic_chain,
     seed,
     step,
     validate,
@@ -62,8 +62,8 @@ __all__ = [
     "GOLDEN", "ONE", "QSqrt5", "SQRT5", "ZERO",
     "ConsistencyError", "Diagram", "DiagramError", "Family", "build", "cartan_matrix",
     "classify_parabolic", "gram_matrix_weights", "group_order",
-    "is_platonic_chain", "parabolic_order", "parse_name", "root_count",
-    "Decoration", "DecorationError", "End", "chain",
+    "parabolic_order", "parse_name", "root_count",
+    "Decoration", "DecorationError", "End", "chain", "is_platonic_chain",
     "seed", "step", "validate",
     "OrbitResult", "Point", "as_point", "fundamental_weight", "inner",
     "norm_sq", "orbit", "point_sub", "reflect", "stabilizer_order_of_point",

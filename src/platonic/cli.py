@@ -13,12 +13,11 @@ import sys
 from functools import cache
 
 from . import facelattice, verify
-from .decoration import DecorationError, End, chain
+from .decoration import DecorationError, End, chain, is_platonic_chain
 from .diagram import (
     ConsistencyError,
     DiagramError,
     group_order,
-    is_platonic_chain,
     parse_name,
     root_count,
 )
@@ -38,6 +37,7 @@ def _diagram_arg(name: str, rank: int | None):
 
 
 def cmd_info(args, d, _end) -> int:
+    order = str(group_order(d))  # past the int-to-str limit this raises before any chain walk
     info = {
         "name": d.name,
         "family": d.family.value,
@@ -47,13 +47,13 @@ def cmd_info(args, d, _end) -> int:
         "root_count": root_count(d),
         "platonic_chain": is_platonic_chain(d),
     }
-    # rendered whole first, so an error (|W| past the int-to-str limit) prints nothing
+    # rendered whole first, so an error prints nothing
     if args.json:
         text = canonical_json(info)
     else:
         edges = ", ".join(f"{i}-{j} (m={m})" for i, j, m in d.edges) or "none"
         text = (f"{d.name}: rank {d.rank}, family {d.family.value}\n  edges:        {edges}\n"
-                f"  group order:  {info['group_order']}\n  roots:        {info['root_count']}\n"
+                f"  group order:  {order}\n  roots:        {info['root_count']}\n"
                 f"  chain:        {'yes' if info['platonic_chain'] else 'no'}")
     print(text)
     return 0

@@ -12,6 +12,9 @@ square at an extreme node (marking the seed vertex) and repeatedly turns
 a square into a filled mark, promoting any open neighbours to squares,
 until no open node is left.  Read with the open/filled roles exchanged,
 the same decoration describes a face of the dual polytope.
+
+A seed is Platonic when at each step all faces lie in one orbit: each
+decoration has exactly one square.  ``chain`` alone judges this.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .diagram import ConsistencyError, Diagram, is_platonic_chain
+from .diagram import Diagram
 
 
 _PRETTY = str.maketrans("sof", "□◊◆")
@@ -109,14 +112,20 @@ def seed(d: Diagram, end: End) -> Decoration:
     """Seed decoration: one square at the chosen extreme node, open elsewhere.
 
     Marks the seed vertex (the fundamental weight of node 1 or node n).
-    Only branch-free chain diagrams admit a Platonic seed.
+    Whether the walk from it stays Platonic is ``chain``'s verdict.
     """
-    if not is_platonic_chain(d):
-        raise DecorationError(
-            f"{d.name} is not a branch-free chain; no single-orbit seed exists"
-        )
     text = "s" + "o" * (d.rank - 1)
     return Decoration(text if end is End.LEFT else text[::-1])
+
+
+def _fill(d: Diagram, text: str, s: int) -> str:
+    """Fill the square at node ``s``; its open neighbours become squares."""
+    marks = list(text)
+    marks[s - 1] = "f"
+    for nb in d.neighbors(s):
+        if marks[nb - 1] == "o":
+            marks[nb - 1] = "s"
+    return "".join(marks)
 
 
 def step(d: Diagram, dec: Decoration) -> tuple[Decoration, ...]:
@@ -130,39 +139,38 @@ def step(d: Diagram, dec: Decoration) -> tuple[Decoration, ...]:
     """
     if not validate(d, dec):
         raise DecorationError(f"invalid decoration {dec.text} for {d.name}")
-    squares = sorted(dec.square_nodes)
-    if not squares:
+    if "s" not in dec.text:
         raise DecorationError("no square to replace")
-    if not dec.open_nodes:
+    if "o" not in dec.text:
         raise DecorationError("terminal decoration: no open node remains")
-    out: list[Decoration] = []
-    for s in squares:
-        marks = list(dec.text)
-        marks[s - 1] = "f"
-        for nb in d.neighbors(s):
-            if marks[nb - 1] == "o":
-                marks[nb - 1] = "s"
-        out.append(Decoration("".join(marks)))
-    return tuple(out)
+    return tuple(Decoration(_fill(d, dec.text, i + 1))
+                 for i, m in enumerate(dec.text) if m == "s")
 
 
 @lru_cache(maxsize=256)
 def chain(d: Diagram, end: End) -> tuple[Decoration, ...]:
     """The full recursion from the seed: one decoration per dimension 0..n-1.
 
-    On a chain diagram the single-square recursion is deterministic: the
-    square walks from the seed end to the far end, leaving filled marks
-    behind.  The recursion depends on nothing but ``(d, end)``, so each
-    pair runs once per process while it stays among the 256 most recent.
+    The walk fills the one square of each decoration until no open node is
+    left, and raises DecorationError at a decoration with any other number
+    of squares; each fill keeps the valid seed's grammar.  The walk runs
+    once per ``(d, end)`` while that pair is among the 256 most recent.
     """
-    current = seed(d, end)
-    out = [current]
-    while current.open_nodes:
-        successors = step(d, current)
-        if len(successors) != 1:
-            raise ConsistencyError("single-square chain recursion must not branch")
-        current = successors[0]
-        out.append(current)
-    if len(out) != d.rank:
-        raise ConsistencyError(f"chain has {len(out)} decorations, rank is {d.rank}")
-    return tuple(out)
+    out = [seed(d, end)]
+    while True:
+        text = out[-1].text
+        if (squares := text.count("s")) != 1:
+            raise DecorationError(f"{d.name} has no Platonic chain from its {end.value} "
+                                  f"end: {text} has {squares} squares")
+        if "o" not in text:
+            return tuple(out)
+        out.append(Decoration(_fill(d, text, text.index("s") + 1)))
+
+
+def is_platonic_chain(d: Diagram) -> bool:
+    """The recursion's verdict: ``chain`` accepts the seeds at both ends."""
+    try:
+        chain(d, End.LEFT), chain(d, End.RIGHT)
+    except DecorationError:
+        return False
+    return True

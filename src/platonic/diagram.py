@@ -1,8 +1,9 @@
 """Coxeter-Dynkin diagrams of the finite reflection groups used here.
 
 Supported families: the chains A_n, B_n, C_n, F4 and the pentagonal
-chains H2, H3, H4, plus the forked family D_n, which is carried only for
-its group order and root count.  Each is one row of ``_FAMILIES``: least
+chains H2, H3, H4, plus the forked family D_n, carried for its group
+order and root count as the non-Platonic case that ``decoration.chain``
+refuses.  Each is one row of ``_FAMILIES``: least
 rank, only rank, irreducible type, its one bond above 3 and the short side
 of a label-4 bond; bonds, root lengths, orders, name and parsing read it.
 Nodes are numbered 1..n left to right as the diagrams are conventionally
@@ -283,11 +284,3 @@ def parabolic_order(d: Diagram, nodes: frozenset[int] | set[int]) -> int:
         order *= _TYPES[family](rank)[0]
     return order
 
-
-def is_platonic_chain(d: Diagram) -> bool:
-    """True when the diagram is a single branch-free path.
-
-    Only such diagrams, seeded at an extreme node, produce polytopes with
-    one symmetry class of face per dimension.
-    """
-    return all(j == i + 1 for i, j, _ in d.edges)

@@ -21,9 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
-from .decoration import Decoration, DecorationError, End, chain, validate
-from .diagram import (ConsistencyError, Diagram, Family, group_order, is_platonic_chain,
-                      parabolic_order)
+from .decoration import Decoration, DecorationError, End, chain, is_platonic_chain, validate
+from .diagram import ConsistencyError, Diagram, Family, group_order, parabolic_order
 # not called here: kept as facelattice.reflect, an import site perfbench wraps
 from .orbit import Point, fundamental_weight, orbit, reflect  # noqa: F401
 
@@ -33,10 +32,7 @@ Face = tuple[int, ...]
 def face_count(d: Diagram, dec: Decoration) -> int:
     """Number of faces in the class of ``dec``: |W| over both parabolic orders."""
     if not is_platonic_chain(d):
-        raise DecorationError(
-            f"{d.name} is not a branch-free chain; its polytopes have several "
-            "orbits of faces and are not handled here"
-        )
+        raise DecorationError(f"{d.name} has no Platonic chain: its faces form several orbits")
     if not validate(d, dec):
         raise DecorationError(f"invalid decoration {dec.text} for {d.name}")
     total = group_order(d)

@@ -5,7 +5,7 @@ Claims:
     - JSON output is canonical (load + re-dump is byte-identical)
     - bad names, non-chain diagrams and bad flags exit nonzero
     - ``info`` on a group order past the int-to-str digit limit prints no
-      partial output: one ``error:`` line and exit 1
+      partial output: one ``error:`` line and exit 1, before any chain walk
     - importing the CLI leaves numpy unloaded; only ``export`` needs it
     - a failed cross-check is an ``error:`` line and exit 1, not a traceback;
       inside ``verify`` it fails its own check and the battery runs on
@@ -90,6 +90,21 @@ class TestInfo:
             assert err.startswith("error: ") and err.count("\n") == 1
             code, out, _ = run(capsys, "info", "A1557", *flags)  # 1558! has 4300 digits
             assert code == 0 and str(math.factorial(1558)) in out
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    def test_order_past_the_digit_limit_walks_no_chain(self, capsys):
+        # the verdict walks rank decorations of rank marks from each end; a
+        # refused |W| must fail before that walk starts
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        chain.cache_clear()  # a walk cached by an earlier request would count as hits
+        try:
+            code, out, _ = run(capsys, "info", "A1700")
+            assert (code, out) == (1, "")
+            assert chain.cache_info().misses == 0
         finally:
             sys.set_int_max_str_digits(old)
 

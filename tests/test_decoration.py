@@ -3,7 +3,8 @@
 Claims:
     - a decoration is a string of s/o/f marks; any other character raises
     - the grammar forbids open next to filled across any bond
-    - seeds put one square at an extreme node of a chain
+    - seeds put one square at an extreme node of any diagram; the walk, not
+      the seed, judges whether the seed is Platonic
     - the single-square recursion is deterministic and produces, at step
       k, k filled marks, one square and n-k-1 open marks; the filled node
       sets grow strictly along the chain, so each face lies in the next
@@ -13,6 +14,12 @@ Claims:
       per (diagram, end), is bounded, and caches no error; locating a
       decoration in the cached chains agrees with a linear search; the
       face cache is bounded too
+    - the walk is the paper's test: it raises, naming the decoration, at
+      the first one without exactly one square; on every diagram of rank
+      <= 24 it agrees with the step-by-step recursion and its branching and
+      length checks, and its verdict with the edge-path shape test; D is
+      refused from both ends, and no seed at an interior node keeps a
+      single square
 """
 
 import itertools
@@ -20,18 +27,20 @@ import itertools
 import pytest
 
 from platonic import (
+    ConsistencyError,
     Decoration,
     DecorationError,
     End,
     Family,
     build,
     chain,
+    is_platonic_chain,
     seed,
     step,
     validate,
 )
 from platonic.facelattice import enumerate_faces, locate_in_chain
-from conftest import chain_diagrams
+from conftest import all_diagrams, chain_diagrams
 
 
 def dec(text):
@@ -79,9 +88,9 @@ class TestSeed:
     def test_rank_one(self):
         assert seed(build(Family.A, 1), End.LEFT) == dec("s")
 
-    def test_fork_rejected(self):
-        with pytest.raises(DecorationError):
-            seed(build(Family.D, 4), End.LEFT)
+    def test_fork_seeded(self):
+        # the seed does not judge; chain(D4, ...) refuses the walk from it
+        assert seed(build(Family.D, 4), End.LEFT) == dec("sooo")
 
 
 class TestStep:
@@ -181,6 +190,92 @@ class TestCachedChain:
                 except DecorationError:
                     located = None
                 assert located == (found[0] if found else None), c.text
+
+
+
+def reference_chain(d, end):
+    """The step-by-step recursion with its branching and length checks: the
+    oracle for the single-square walk of ``chain``."""
+    current = seed(d, end)
+    out = [current]
+    while current.open_nodes:
+        successors = step(d, current)
+        if len(successors) != 1:
+            raise ConsistencyError("single-square chain recursion must not branch")
+        current = successors[0]
+        out.append(current)
+    if len(out) != d.rank:
+        raise ConsistencyError(f"chain has {len(out)} decorations, rank is {d.rank}")
+    return tuple(out)
+
+
+def is_edge_path(d):
+    """The diagram-shape test: every bond joins consecutive nodes."""
+    return all(j == i + 1 for i, j, _ in d.edges)
+
+
+def walk_outcome(fn, d, end):
+    """The decorations ``fn`` returns, or None when it refuses the seed."""
+    try:
+        return fn(d, end)
+    except (ConsistencyError, DecorationError):
+        return None
+
+
+def keeps_one_square(d, text):
+    """Whether the recursion from ``text`` keeps a single square to the end."""
+    current = Decoration(text)
+    while current.text.count("s") == 1:
+        if not current.open_nodes:
+            return True
+        [current] = step(d, current)
+    return False
+
+
+DIAGRAMS_TO_24 = all_diagrams(24)
+
+
+class TestPlatonicWalk:
+    def test_95_diagrams(self):
+        assert len(DIAGRAMS_TO_24) == 95
+        assert {d.family for d in DIAGRAMS_TO_24} == set(Family)
+
+    def test_walk_equals_reference_loop(self):
+        for d in DIAGRAMS_TO_24:
+            for end in (End.LEFT, End.RIGHT):
+                expected = walk_outcome(reference_chain, d, end)
+                assert walk_outcome(chain.__wrapped__, d, end) == expected, (d.name, end)
+                assert (expected is None) == (d.family is Family.D), (d.name, end)
+
+    def test_verdict_equals_edge_path(self):
+        for d in DIAGRAMS_TO_24:
+            assert is_platonic_chain(d) == is_edge_path(d), d.name
+
+    def test_d_refused_at_both_ends(self):
+        for d in DIAGRAMS_TO_24:
+            if d.family is Family.D:
+                for end in (End.LEFT, End.RIGHT):
+                    with pytest.raises(DecorationError, match="chain"):
+                        chain(d, end)
+
+    def test_square_count_decides(self):
+        # D4's walk from the left never branches: it ends on two squares and
+        # no open node, so only the square count refuses it
+        with pytest.raises(DecorationError,
+                           match="^D4 has no Platonic chain from its left end: ffss has 2 squares$"):
+            chain(build(Family.D, 4), End.LEFT)
+        assert len(step(build(Family.D, 4), dec("fsoo"))) == 1
+
+    def test_no_interior_seed_keeps_one_square(self):
+        interior = 0
+        for d in DIAGRAMS_TO_24:
+            for k in range(2, d.rank):
+                text = "o" * (k - 1) + "s" + "o" * (d.rank - k)
+                assert not keeps_one_square(d, text), (d.name, k)
+                interior += 1
+            for end in (End.LEFT, End.RIGHT):
+                assert keeps_one_square(d, seed(d, end).text) == is_edge_path(d), (d.name, end)
+        assert interior == 1016  # nodes 2..n-1 over the 95 diagrams
 
 
 def dual(c):

@@ -46,12 +46,12 @@ from platonic import (
     classify_parabolic,
     gram_matrix_weights,
     group_order,
-    is_platonic_chain,
     parabolic_order,
     parse_name,
     root_count,
 )
 import platonic.diagram as diagram_module
+from platonic.decoration import is_platonic_chain
 from platonic.diagram import _TYPES, _bonds, _components, _root_lengths_sq
 from platonic.orbit import as_point, orbit
 from platonic.qsqrt5 import GOLDEN, ONE, QSqrt5, ZERO

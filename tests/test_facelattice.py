@@ -92,7 +92,7 @@ class TestFaceCount:
             face_count(build(Family.A, 3), dec("fos"))
 
     def test_fork_rejected(self):
-        with pytest.raises(DecorationError):
+        with pytest.raises(DecorationError, match="chain"):
             face_count(build(Family.D, 4), dec("sooo"))
 
 

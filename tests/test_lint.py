@@ -8,6 +8,9 @@ Claims:
       function that takes arguments is decorated with ``functools.cache``
       or with an ``lru_cache`` of any other bound, so a long-lived process
       keeps at most 256 entries per table
+    - the package source, ``src/platonic/*.py`` together, stays within the
+      2087-line baseline (counted as ``wc -l`` counts) that the roadmap's
+      simplicity aim set
 """
 
 import ast
@@ -19,6 +22,7 @@ import platonic
 
 SRC = Path(platonic.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
+BASELINE_LINES = 2087  # src/ size when the roadmap's simplicity aim was set
 
 
 def unread_imports(source: str) -> list[str]:
@@ -98,3 +102,8 @@ def test_every_cache_is_bounded(path):
 def test_all_resolves():
     missing = [name for name in platonic.__all__ if not hasattr(platonic, name)]
     assert missing == []
+
+
+def test_source_within_line_baseline():
+    lines = sum(path.read_text(encoding="utf-8").count("\n") for path in MODULES)
+    assert lines <= BASELINE_LINES
