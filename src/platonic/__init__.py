@@ -15,7 +15,6 @@ from .diagram import (
     Family,
     build,
     cartan_matrix,
-    classify_parabolic,
     gram_matrix_weights,
     group_order,
     parabolic_order,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GOLDEN", "ONE", "QSqrt5", "SQRT5", "ZERO",
     "ConsistencyError", "Diagram", "DiagramError", "Family", "build", "cartan_matrix",
-    "classify_parabolic", "gram_matrix_weights", "group_order",
+    "gram_matrix_weights", "group_order",
     "parabolic_order", "parse_name", "root_count",
     "Decoration", "DecorationError", "End", "chain", "is_platonic_chain",
     "seed", "step", "validate",

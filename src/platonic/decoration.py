@@ -48,11 +48,6 @@ class Decoration:
         if not set(self.text) <= set("sof"):
             raise DecorationError(f"bad decoration text {self.text!r}")
 
-    @classmethod
-    def from_text(cls, text: str) -> "Decoration":
-        """Build from the marks in either case."""
-        return cls(text.lower())
-
     @property
     def pretty(self) -> str:
         return self.text.translate(_PRETTY)

@@ -13,15 +13,15 @@ A ``Diagram`` is its family and rank; its edges are that family's bonds,
 built once when it is made.  The module derives everything combinatorial
 and metric from a diagram: Cartan matrix C, Gram matrix of the fundamental
 weights (one elimination of its inverse 2 L^-1 C along the bonds, with no
-general matrix inverse), group order, root count, and the finite type of
-each parabolic subgroup, read off the bonds of a node subset.
+general matrix inverse), group order, root count, and the order of each
+parabolic subgroup of a chain, one irreducible type per maximal run of nodes.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -66,6 +66,12 @@ class Diagram:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", _bonds(self.family, self.rank))
+        # node i's neighbours, ascending (the bonds are sorted), at i - 1: O(1) per walk step
+        adjacent: list[tuple[int, ...]] = [()] * self.rank
+        for i, j, _ in self.edges:
+            adjacent[i - 1] += (j,)
+            adjacent[j - 1] += (i,)
+        object.__setattr__(self, "_neighbors", tuple(adjacent))
         # every cache keyed by a diagram hashes it, and the generated hash would
         # hash ``family`` through Enum's Python-level __hash__ on each lookup
         object.__setattr__(self, "_hash", hash((self.family.value, self.rank)))
@@ -84,7 +90,7 @@ class Diagram:
         return range(1, self.rank + 1)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(b if a == i else a for a, b, _ in self.edges if i in (a, b)))
+        return self._neighbors[i - 1] if 0 < i <= self.rank else ()
 
     def __str__(self) -> str:
         return self.name
@@ -206,7 +212,7 @@ def gram_matrix_weights(d: Diagram) -> MatrixQ:
 # -- orders and root counts ----------------------------------------------
 
 # (order, root count) of each irreducible type at rank n, keyed by the
-# names classify_parabolic gives its components
+# type names of the family rows and of parabolic_order's runs
 _TYPES = {
     "A": lambda n: (math.factorial(n + 1), n * (n + 1)),
     "BC": lambda n: (2**n * math.factorial(n), 2 * n * n),
@@ -228,59 +234,29 @@ def root_count(d: Diagram) -> int:
 
 # -- parabolic sub-diagrams ----------------------------------------------
 
-def _components(d: Diagram, nodes: frozenset[int]) -> list[list[int]]:
-    """Sorted components of ``nodes`` in node order: every node here has at
-    most one lower neighbour, and a sweep in node order joins its component."""
-    lower = {j: i for i, j, _ in d.edges}
-    home: dict[int, list[int]] = {}
-    comps = []
-    for v in sorted(nodes):
-        comp = home.get(lower.get(v))
-        if comp is None:
-            comp = []
-            comps.append(comp)
-        comp.append(v)
-        home[v] = comp
-    return comps
-
-
-def _classify(d: Diagram, comp: list[int]) -> tuple[str, int]:
-    """Finite type of one connected component, read off its bonds.
-
-    A fork (a node of degree 3) occurs only in D; otherwise the component
-    is a run of consecutive chain nodes with at most one bond above 3.
-    """
-    k = len(comp)
-    members = set(comp)
-    inside = [(i, j, m) for i, j, m in d.edges if i in members and j in members]
-    if 3 in Counter(v for i, j, _ in inside for v in (i, j)).values():
-        return ("D", k)
-    heavy = [(i, m) for i, _, m in inside if m > 3]
-    if not heavy:
-        return ("A", k)
-    [(i, m)] = heavy
-    if m == 5:
-        return ("H", k)
-    return ("BC", k) if i - comp[0] in (0, k - 2) else ("F4", 4)
-
-
-def classify_parabolic(d: Diagram, nodes: frozenset[int] | set[int]) -> list[tuple[str, int]]:
-    """Classify the sub-diagram induced by ``nodes``.
-
-    Returns one ``(family, rank)`` pair per connected component, ordered
-    by smallest node, with families ``A``, ``BC`` (equal orders), ``D``,
-    ``F4`` and ``H``.
-    """
-    nodes = frozenset(nodes)
-    if not nodes <= set(d.nodes):
-        raise ValueError(f"nodes {sorted(nodes)} outside 1..{d.rank}")
-    return [_classify(d, comp) for comp in _components(d, nodes)]
-
-
 def parabolic_order(d: Diagram, nodes: frozenset[int] | set[int]) -> int:
-    """Order of the subgroup generated by the reflections in ``nodes``."""
-    order = 1
-    for family, rank in classify_parabolic(d, nodes):
-        order *= _TYPES[family](rank)[0]
+    """Order of the subgroup generated by the reflections in ``nodes``.
+
+    On a chain each component of ``nodes`` is a maximal run lo..hi, whose
+    type reads the family row: the whole chain has the family's own type, a
+    shorter run holding the one bond above 3 is H (label 5) or BC (label 4),
+    and any other run is A.  Raises ValueError for the fork D, which is no
+    chain, and for nodes outside 1..rank.
+    """
+    row = _FAMILIES[d.family]
+    if d.family is Family.D:
+        raise ValueError(f"{d.name} is not a chain: its parabolic orders are not read by runs")
+    nodes = sorted(nodes)
+    if nodes and not 1 <= nodes[0] <= nodes[-1] <= d.rank:
+        raise ValueError(f"nodes {nodes} outside 1..{d.rank}")
+    # lower node and label of the one bond above 3; node 0 lies in no run
+    heavy, _, label = d.edges[row.bond[1]] if row.bond else (0, 0, 3)
+    order, lo = 1, 0
+    for k, v in enumerate(nodes, 1):
+        if k == len(nodes) or nodes[k] != v + 1:  # nodes[lo:k] is the run nodes[lo]..v
+            size, inside = k - lo, nodes[lo] <= heavy < v
+            kind = row.type if size == d.rank else ("H" if label == 5 else "BC") if inside else "A"
+            order *= _TYPES[kind](size)[0]
+            lo = k
     return order
 

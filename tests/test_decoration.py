@@ -20,6 +20,8 @@ Claims:
       length checks, and its verdict with the edge-path shape test; D is
       refused from both ends, and no seed at an interior node keeps a
       single square
+    - the walk's work is linear in rank: a diagram lists each node's
+      neighbours once, so the walk iterates no bond while it fills squares
 """
 
 import itertools
@@ -30,6 +32,7 @@ from platonic import (
     ConsistencyError,
     Decoration,
     DecorationError,
+    Diagram,
     End,
     Family,
     build,
@@ -44,7 +47,7 @@ from conftest import all_diagrams, chain_diagrams
 
 
 def dec(text):
-    return Decoration.from_text(text)
+    return Decoration(text)
 
 
 class TestValidate:
@@ -68,15 +71,14 @@ class TestValidate:
         d = dec("ffso")
         assert d.text == "ffso"
         assert d.pretty == "◆◆□◊"
-        assert Decoration.from_text(d.text) == d
+        assert Decoration(d.text) == d
         with pytest.raises(DecorationError):
-            Decoration.from_text("fxo")
+            Decoration("fxo")
 
     def test_mark_outside_sof_raises(self):
         for text in ("fxo", "SOO", "s o", "◆◆□"):
             with pytest.raises(DecorationError):
                 Decoration(text)
-        assert Decoration.from_text("SOO") == Decoration("soo")
 
 
 class TestSeed:
@@ -276,6 +278,25 @@ class TestPlatonicWalk:
             for end in (End.LEFT, End.RIGHT):
                 assert keeps_one_square(d, seed(d, end).text) == is_edge_path(d), (d.name, end)
         assert interior == 1016  # nodes 2..n-1 over the 95 diagrams
+
+    def test_walk_reads_no_bond_per_step(self):
+        # work counted, not timed: each bond the walk iterates is one visit.
+        # A per-step scan of every bond makes A400's walk visit four times
+        # A200's; reading stored neighbours makes it visit none.
+        visits = {200: 0, 400: 0}
+
+        class CountedBonds(tuple):
+            def __iter__(self):
+                for bond in super().__iter__():
+                    visits[len(self) + 1] += 1  # A_n has n - 1 bonds
+                    yield bond
+
+        for n in visits:
+            d = Diagram(Family.A, n)
+            object.__setattr__(d, "edges", CountedBonds(d.edges))
+            for end in (End.LEFT, End.RIGHT):
+                assert len(chain.__wrapped__(d, end)) == n
+        assert visits[400] <= 2 * visits[200], visits
 
 
 def dual(c):

@@ -1,6 +1,8 @@
 """Diagrams, Cartan/Gram matrices, orders and parabolic classification.
 
 Claims:
+    - each node's stored neighbours equal a scan of every bond, at every
+      rank <= 24, and a number outside 1..rank has none
     - builders produce the documented chains and the D fork, and reject
       bad family/rank pairs and unknown names; a diagram is its family and
       rank, makes its family's bonds once, and a hand-built one is rejected
@@ -21,8 +23,12 @@ Claims:
       on all 95 diagrams of rank <= 24, and G (2 L^-1 C) = I exactly; a node
       with two lower neighbours raises ConsistencyError, also under -O
     - group orders and root counts match the classical values
-    - parabolic subsets classify componentwise with multiplicative orders,
-      and every parabolic order is the orbit size of a regular point
+    - every parabolic order of a chain, read off its maximal runs, equals
+      the test-local oracle that classifies each component by its bonds
+      (every subset at rank <= 8, every run at rank <= 24); orders are
+      multiplicative over components, the fork D and nodes outside
+      1..rank raise ValueError, and every parabolic order (D's through the
+      oracle) is the orbit size of a regular point
 """
 
 import re
@@ -43,7 +49,6 @@ from platonic import (
     Family,
     build,
     cartan_matrix,
-    classify_parabolic,
     gram_matrix_weights,
     group_order,
     parabolic_order,
@@ -52,7 +57,7 @@ from platonic import (
 )
 import platonic.diagram as diagram_module
 from platonic.decoration import is_platonic_chain
-from platonic.diagram import _TYPES, _bonds, _components, _root_lengths_sq
+from platonic.diagram import _TYPES, _bonds, _root_lengths_sq
 from platonic.orbit import as_point, orbit
 from platonic.qsqrt5 import GOLDEN, ONE, QSqrt5, ZERO
 
@@ -123,6 +128,14 @@ class TestBuild:
         d = build(Family.D, 5)
         assert d.neighbors(3) == (2, 4, 5)
         assert not is_platonic_chain(d)
+
+    def test_neighbors_equal_edge_scan(self):
+        # stored once per diagram; a scan of every bond is the oracle, and a
+        # number that is no node has none
+        for d in all_diagrams(24):
+            for i in range(d.rank + 2):
+                scan = tuple(sorted(b if a == i else a for a, b, _ in d.edges if i in (a, b)))
+                assert d.neighbors(i) == scan, (d.name, i)
 
     def test_bad_ranks(self):
         for family, rank in ((Family.A, 0), (Family.B, 1), (Family.D, 3),
@@ -453,9 +466,26 @@ class TestOrders:
         assert root_count(d) == roots
 
 
+def reference_components(d, nodes):
+    """Sorted components of ``nodes`` in node order: every node has at most
+    one lower neighbour, D's fork included, and a sweep in node order joins
+    its component."""
+    lower = {j: i for i, j, _ in d.edges}
+    home = {}
+    comps = []
+    for v in sorted(nodes):
+        comp = home.get(lower.get(v))
+        if comp is None:
+            comp = []
+            comps.append(comp)
+        comp.append(v)
+        home[v] = comp
+    return comps
+
+
 def reference_classify(d, comp):
-    """Component type by list scans, quadratic in the component: the oracle for
-    ``classify_parabolic``."""
+    """Component type by list scans, quadratic in the component: with
+    ``reference_components``, the oracle for every parabolic order."""
     k = len(comp)
     inside = [(i, j, m) for i, j, m in d.edges if i in comp and j in comp]
     ends = [v for i, j, _ in inside for v in (i, j)]
@@ -470,43 +500,69 @@ def reference_classify(d, comp):
     return ("BC", k) if i - comp[0] in (0, k - 2) else ("F4", 4)
 
 
+def reference_types(d, nodes):
+    """One ``(type, rank)`` per component of ``nodes``, ordered by smallest node."""
+    return [reference_classify(d, comp) for comp in reference_components(d, nodes)]
+
+
+def reference_order(d, nodes):
+    order = 1
+    for kind, rank in reference_types(d, nodes):
+        order *= _TYPES[kind](rank)[0]
+    return order
+
+
 class TestParabolic:
     def test_every_subset_against_reference(self):
         subsets = 0
         for d in all_diagrams(8):
             for k in range(d.rank + 1):
                 for nodes in combinations(d.nodes, k):
-                    comps = _components(d, frozenset(nodes))
-                    assert classify_parabolic(d, nodes) == [
-                        reference_classify(d, comp) for comp in comps], (d.name, nodes)
+                    if d.family is Family.D:
+                        with pytest.raises(ValueError):
+                            parabolic_order(d, nodes)
+                    else:
+                        assert parabolic_order(d, nodes) == reference_order(d, nodes), (
+                            d.name, nodes)
                     subsets += 1
         assert subsets == 2066
 
+    def test_every_run_against_reference(self):
+        # runs lo..hi with lo <= hi + 1, so each chain counts one empty run per lo
+        runs = 0
+        for d in chain_diagrams(24):
+            for lo in range(1, d.rank + 2):
+                for hi in range(lo - 1, d.rank + 1):
+                    nodes = range(lo, hi + 1)
+                    assert parabolic_order(d, nodes) == reference_order(d, nodes), (d.name, lo, hi)
+                    runs += 1
+        assert runs == 8812
+
     def test_f4_tail_is_bc3(self):
         f4 = build(Family.F4, 4)
-        assert classify_parabolic(f4, {2, 3, 4}) == [("BC", 3)]
+        assert reference_types(f4, {2, 3, 4}) == [("BC", 3)]
         assert parabolic_order(f4, {2, 3, 4}) == 48
 
     def test_h4_tail_is_h2(self):
         h4 = build(Family.H4, 4)
-        assert classify_parabolic(h4, {3, 4}) == [("H", 2)]
+        assert reference_types(h4, {3, 4}) == [("H", 2)]
         assert parabolic_order(h4, {3, 4}) == 10
 
     def test_empty(self):
         d = build(Family.A, 4)
-        assert classify_parabolic(d, set()) == []
+        assert reference_types(d, set()) == []
         assert parabolic_order(d, set()) == 1
 
     def test_examples(self):
         h3 = build(Family.H3, 3)
         assert parabolic_order(h3, {2, 3}) == 10
         b3 = build(Family.B, 3)
-        assert classify_parabolic(b3, {1, 2}) == [("A", 2)]
+        assert reference_types(b3, {1, 2}) == [("A", 2)]
         assert parabolic_order(b3, {1, 2}) == 6
 
     def test_disconnected_multiplicative(self):
         a5 = build(Family.A, 5)
-        assert classify_parabolic(a5, {1, 3, 4}) == [("A", 1), ("A", 2)]
+        assert reference_types(a5, {1, 3, 4}) == [("A", 1), ("A", 2)]
         assert parabolic_order(a5, {1, 3, 4}) == 2 * 6
         assert parabolic_order(a5, {1, 3, 4}) == (
             parabolic_order(a5, {1}) * parabolic_order(a5, {3, 4})
@@ -514,27 +570,34 @@ class TestParabolic:
 
     def test_full_set_recovers_group(self):
         for d in all_diagrams(7):
-            assert parabolic_order(d, set(d.nodes)) == group_order(d)
+            order = reference_order if d.family is Family.D else parabolic_order
+            assert order(d, set(d.nodes)) == group_order(d), d.name
 
     def test_d_fork_subsets(self):
+        # the oracle reads D6's fork; parabolic_order reads chains only
         d6 = build(Family.D, 6)
-        assert classify_parabolic(d6, {4, 5, 6}) == [("A", 3)]
-        assert classify_parabolic(d6, {3, 4, 5, 6}) == [("D", 4)]
-        assert parabolic_order(d6, {3, 4, 5, 6}) == 192
+        assert reference_types(d6, {4, 5, 6}) == [("A", 3)]
+        assert reference_types(d6, {3, 4, 5, 6}) == [("D", 4)]
+        assert reference_order(d6, {3, 4, 5, 6}) == 192
+        for nodes in (set(), {4, 5, 6}, {3, 4, 5, 6}):
+            with pytest.raises(ValueError, match="D6 is not a chain"):
+                parabolic_order(d6, nodes)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            classify_parabolic(build(Family.A, 3), {0, 1})
+        for nodes in ({0, 1}, {4}, {1, 2, 3, 4}):
+            with pytest.raises(ValueError, match="outside 1..3"):
+                parabolic_order(build(Family.A, 3), nodes)
 
     def test_orders_are_regular_orbit_sizes(self):
         # rho = (1, ..., 1) has a trivial stabilizer, so its orbit under the
         # subgroup generated by S has exactly |W_S| points
         subsets = 0
         for d in all_diagrams(5):
+            order = reference_order if d.family is Family.D else parabolic_order
             rho = as_point((1,) * d.rank)
             for k in range(d.rank + 1):
                 for nodes in combinations(d.nodes, k):
-                    assert parabolic_order(d, nodes) == orbit(d, rho, nodes).size, (d.name, nodes)
+                    assert order(d, nodes) == orbit(d, rho, nodes).size, (d.name, nodes)
                     subsets += 1
         assert subsets == 274
 

@@ -73,7 +73,7 @@ from platonic.verify import _cross_count, _cube_count, _simplex_count
 
 
 def dec(text):
-    return Decoration.from_text(text)
+    return Decoration(text)
 
 
 class TestFaceCount:
