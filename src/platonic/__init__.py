@@ -7,7 +7,7 @@ so orbit enumeration, face realization and incidence checks are decided
 without tolerances.
 """
 
-from .qsqrt5 import GOLDEN, ONE, QSqrt5, SQRT5, ZERO
+from .qsqrt5 import GOLDEN, ONE, QSqrt5, ZERO
 from .diagram import (
     ConsistencyError,
     Diagram,
@@ -28,7 +28,6 @@ from .decoration import (
     chain,
     is_platonic_chain,
     seed,
-    step,
     validate,
 )
 from .orbit import (
@@ -58,12 +57,12 @@ from .facelattice import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GOLDEN", "ONE", "QSqrt5", "SQRT5", "ZERO",
+    "GOLDEN", "ONE", "QSqrt5", "ZERO",
     "ConsistencyError", "Diagram", "DiagramError", "Family", "build", "cartan_matrix",
     "gram_matrix_weights", "group_order",
     "parabolic_order", "parse_name", "root_count",
     "Decoration", "DecorationError", "End", "chain", "is_platonic_chain",
-    "seed", "step", "validate",
+    "seed", "validate",
     "OrbitResult", "Point", "as_point", "fundamental_weight", "inner",
     "norm_sq", "orbit", "point_sub", "reflect", "stabilizer_order_of_point",
     "enumerate_faces", "euler_sum", "face_count", "face_table", "incidence_count",

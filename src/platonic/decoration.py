@@ -123,25 +123,6 @@ def _fill(d: Diagram, text: str, s: int) -> str:
     return "".join(marks)
 
 
-def step(d: Diagram, dec: Decoration) -> tuple[Decoration, ...]:
-    """All successors of a decoration under one recursion step.
-
-    For each square: turn it into a filled mark and promote its open
-    neighbours to squares.  Successors are returned in node order of the
-    replaced square; they are distinct, since two of them differ at the
-    square each one filled.  Raises when the decoration is terminal (no
-    open node left) or has no square to replace.
-    """
-    if not validate(d, dec):
-        raise DecorationError(f"invalid decoration {dec.text} for {d.name}")
-    if "s" not in dec.text:
-        raise DecorationError("no square to replace")
-    if "o" not in dec.text:
-        raise DecorationError("terminal decoration: no open node remains")
-    return tuple(Decoration(_fill(d, dec.text, i + 1))
-                 for i, m in enumerate(dec.text) if m == "s")
-
-
 @lru_cache(maxsize=256)
 def chain(d: Diagram, end: End) -> tuple[Decoration, ...]:
     """The full recursion from the seed: one decoration per dimension 0..n-1.

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from operator import sub
 
 from .diagram import ConsistencyError, Diagram, cartan_matrix, gram_matrix_weights, group_order
-from .qsqrt5 import QSqrt5, _make
+from .qsqrt5 import QSqrt5, _make, _new
 
 Point = tuple[QSqrt5, ...]
 
@@ -45,11 +46,13 @@ def fundamental_weight(d: Diagram, i: int) -> Point:
     """The i-th fundamental weight as a point (the i-th unit vector here)."""
     if not 1 <= i <= d.rank:
         raise ValueError(f"node index {i} outside 1..{d.rank}")
-    return tuple(QSqrt5(1 if j == i else 0) for j in d.nodes)
+    return tuple(_make(1 if j == i else 0, 0, 1) for j in d.nodes)
 
 
 def point_sub(x: Point, y: Point) -> Point:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
+    if len(x) != len(y):
+        raise ValueError(f"points of lengths {len(x)} and {len(y)} do not subtract")
+    return tuple(map(sub, x, y))
 
 
 def _fits(d: Diagram, x, what: str = "point") -> None:
@@ -87,10 +90,15 @@ def _zphi_rows(d: Diagram) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 
 
 def reflect(d: Diagram, i: int, x: Point) -> Point:
-    """Apply the reflection of node ``i`` (1-based): x - x_i * (row i of C)."""
+    """Apply the reflection of node ``i`` (1-based): x - x_i * (row i of C).
+
+    Each touched coordinate is reduced by one gcd and built in place, as
+    ``qsqrt5._make`` would build it.
+    """
     if not 1 <= i <= d.rank:
         raise ValueError(f"generators {(i,)} outside 1..{d.rank}")
-    _fits(d, x)
+    if len(x) != d.rank:
+        _fits(d, x)  # raises
     row = _sparse_rows(d)[i - 1]
     try:
         a, b, s = x[i - 1]._p, x[i - 1]._q, x[i - 1]._r
@@ -98,8 +106,15 @@ def reflect(d: Diagram, i: int, x: Point) -> Point:
         for j, c, e, t in row:
             # x_j - x_i C_ij, where x_i C_ij = (P + Q√5)/w
             y, P, Q, w = coords[j], a * c + 5 * b * e, a * e + b * c, s * t
-            coords[j] = (_make(y._p - P, y._q - Q, w) if y._r == w
-                         else _make(y._p * w - P * y._r, y._q * w - Q * y._r, y._r * w))
+            r = y._r
+            if r == w:
+                p, q = y._p - P, y._q - Q
+            else:
+                p, q, w = y._p * w - P * r, y._q * w - Q * r, r * w
+            if w != 1 and (g := gcd(p, q, w)) != 1:
+                p, q, w = p // g, q // g, w // g
+            coords[j] = z = _new(QSqrt5)
+            z._p, z._q, z._r = p, q, w
     except AttributeError:
         return reflect(d, i, as_point(x))
     return tuple(coords)
@@ -229,7 +244,8 @@ def inner(d: Diagram, x: Point, y: Point) -> QSqrt5:
     _fits(d, x)
     _fits(d, y)
     try:
-        (xs, rx), (ys, ry) = _pairs(x), _pairs(y)
+        xs, rx = _pairs(x)
+        ys, ry = (xs, rx) if y is x else _pairs(y)
     except AttributeError:
         return inner(d, as_point(x), as_point(y))
     gram, rg = _int_gram(d)
@@ -252,11 +268,23 @@ def norm_sq(d: Diagram, x: Point) -> QSqrt5:
 def random_point(d: Diagram, rng) -> Point:
     """Random exact point with small rational and root-5 parts.
 
-    Intended for property checks; ``rng`` is a seeded random.Random.
+    Intended for property checks; ``rng`` is a seeded random.Random.  Per
+    coordinate it draws ``randint(-9, 9)/randint(1, 4)`` plus
+    ``randint(-3, 3)/randint(1, 3)`` times root 5, as ``randint`` itself
+    draws each part: for a range of n values, ``getrandbits(n.bit_length())``
+    until the word is below n.  So the points and the generator's state are
+    those of the four ``randint`` calls.
     """
-    coords = []
+    draw, coords = rng.getrandbits, []
     for _ in d.nodes:
-        n1, d1 = rng.randint(-9, 9), rng.randint(1, 4)
-        n2, d2 = rng.randint(-3, 3), rng.randint(1, 3)
-        coords.append(_make(n1 * d2, n2 * d1, d1 * d2))
+        while (n1 := draw(5)) >= 19:
+            pass
+        while (d1 := draw(3)) >= 4:
+            pass
+        while (n2 := draw(3)) >= 7:
+            pass
+        while (d2 := draw(2)) >= 3:
+            pass
+        d1, d2 = d1 + 1, d2 + 1
+        coords.append(_make((n1 - 9) * d2, (n2 - 3) * d1, d1 * d2))
     return tuple(coords)

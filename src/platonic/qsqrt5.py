@@ -152,14 +152,6 @@ class QSqrt5:
 
     # -- field structure -----------------------------------------------
 
-    def norm(self) -> Fraction:
-        """Field norm ``a^2 - 5 b^2`` (product with the conjugate)."""
-        return Fraction(self._p * self._p - 5 * self._q * self._q, self._r * self._r)
-
-    def conjugate(self) -> "QSqrt5":
-        """Image under sqrt(5) -> -sqrt(5)."""
-        return _make(self._p, -self._q, self._r)
-
     def invert(self) -> "QSqrt5":
         """Multiplicative inverse, computed as conjugate over norm.
 
@@ -208,6 +200,8 @@ class QSqrt5:
         return self._p != 0 or self._q != 0
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is QSqrt5:
+            return self._p == other._p and self._q == other._q and self._r == other._r
         o = _coerce(other)
         if o is None:
             return NotImplemented
@@ -279,6 +273,5 @@ class QSqrt5:
 
 ZERO = QSqrt5(0)
 ONE = QSqrt5(1)
-SQRT5 = QSqrt5(0, 1)
 # golden ratio (1 + sqrt 5)/2, the exact value of 2 cos(pi/5)
 GOLDEN = QSqrt5(Fraction(1, 2), Fraction(1, 2))

@@ -8,7 +8,8 @@ Claims:
     - the single-square recursion is deterministic and produces, at step
       k, k filled marks, one square and n-k-1 open marks; the filled node
       sets grow strictly along the chain, so each face lies in the next
-    - the general step branches over all squares into distinct successors
+    - the general step, a test-local oracle, branches over all squares into
+      distinct successors
     - dual reading swaps the roles of open and filled marks
     - the cached chain equals the uncached recursion, is one shared object
       per (diagram, end), is bounded, and caches no error; locating a
@@ -39,7 +40,6 @@ from platonic import (
     chain,
     is_platonic_chain,
     seed,
-    step,
     validate,
 )
 from platonic.facelattice import enumerate_faces, locate_in_chain
@@ -48,6 +48,29 @@ from conftest import all_diagrams, chain_diagrams
 
 def dec(text):
     return Decoration(text)
+
+
+def step(d, c):
+    """All successors of a decoration under one recursion step: for each
+    square, in node order, fill it and promote its open neighbours to
+    squares.  Raises on an invalid decoration, on one with no square, and on
+    a terminal one (no open node left).  The branching oracle for ``chain``.
+    """
+    if not validate(d, c):
+        raise DecorationError(f"invalid decoration {c.text} for {d.name}")
+    if "s" not in c.text:
+        raise DecorationError("no square to replace")
+    if "o" not in c.text:
+        raise DecorationError("terminal decoration: no open node remains")
+    successors = []
+    for s in sorted(c.square_nodes):
+        marks = list(c.text)
+        marks[s - 1] = "f"
+        for nb in d.neighbors(s):
+            if marks[nb - 1] == "o":
+                marks[nb - 1] = "s"
+        successors.append(Decoration("".join(marks)))
+    return tuple(successors)
 
 
 class TestValidate:

@@ -18,6 +18,9 @@ Claims:
     - ``reflect``, ``inner`` and ``random_point`` give the same canonical
       ``(p, q, r)`` ints as the operator-based QSqrt5 routines and the
       Fraction-based draw, so the verify sample is the same stream of points
+    - ``random_point`` draws that stream from ``getrandbits`` words alone, as
+      many words as ``randint`` takes, never calling ``randint`` or
+      ``randrange``
     - tuples of plain ints or Fractions are coerced to points, and floats raise
 """
 
@@ -570,3 +573,27 @@ class TestExactKernels:
                 for i in d.nodes:
                     moved = reflect(d, i, x), reflect(d, i, y)
                     assert ints(inner(d, *moved)) == ints(reference_inner(d, *moved)), (d.name, i)
+
+    def test_verify_sample_draws_words_only(self):
+        # the whole verify sample comes from getrandbits words, as many as
+        # randint's own draws take, with no randint or randrange call
+        class Counted(random.Random):
+            words = 0
+
+            def getrandbits(self, k):
+                self.words += 1
+                return super().getrandbits(k)
+
+        class WordsOnly(Counted):
+            def randint(self, a, b):
+                raise AssertionError(f"randint({a}, {b}) called")
+
+            def randrange(self, *args):
+                raise AssertionError(f"randrange{args} called")
+
+        ours, theirs = WordsOnly(20240811), Counted(20240811)
+        for d in all_diagrams(8):
+            for _ in range(220):
+                assert ints(random_point(d, ours)) == ints(reference_random_point(d, theirs))
+            assert ours.words == theirs.words, d.name
+        assert ours.getstate() == theirs.getstate()
