@@ -142,9 +142,12 @@ def enumerate_faces(d: Diagram, dec: Decoration) -> tuple[Face, ...]:
     end, ``vertex_table(d, end)[0]``.  The result is sorted and its size is
     checked against the counting formula.
     """
-    end, _ = locate_in_chain(d, dec)
-    perms = vertex_table(d, end)[1]
-    faces = _closure(_representative(perms, dec), perms)
+    end, dim = locate_in_chain(d, dec)
+    points, perms = vertex_table(d, end)
+    if dim == 0:  # the vertex orbit itself, read off the table instead of closed again
+        faces = tuple((v,) for v in range(len(points)))
+    else:
+        faces = _closure(_representative(perms, dec), perms)
     expected = face_count(d, dec)
     if len(faces) != expected:
         raise ConsistencyError(

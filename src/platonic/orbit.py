@@ -12,16 +12,20 @@ Inside the sweep, and only there, coordinate ``x_j = (a_j + b_j*phi)/R``
 (golden ratio ``phi``, one denominator ``R`` of the seed) is the one int
 ``z_j = a_j + b_j*2^k``, with ``k`` the bit length of the seed's largest part
 plus ``_MARGIN``.  Every Cartan entry (2, -1, -2, -phi) lies in Z[phi] and the
-packing is linear, so a rational row subtracts ``c*z_i`` and a row with phi
-unpacks ``z_i`` once to add ``phi*z_i`` as well; ``x_i == 0`` is ``z_i == 0``.
-Unpacking is exact while both parts stay below 2^(k-1), and a reflection at
-most triples the largest part, so each unpacked part, in a phi row and once
-per distinct coordinate back in ``QSqrt5``, must stay below 2^(k-4): past it
-the sweep runs again at width ``2k``.  Every generator is an involution (its
-Cartan diagonal is 2, checked before the sweep), so when the sweep maps point
-``v`` to ``n`` it records both ``perm[v] = n`` and ``perm[n] = v`` and skips
-that generator at ``n``, and ``reflect`` checks the first step of each one.
-Points whose length is not the rank raise ``ValueError``.
+packing is linear, so the diagonal 2 negates ``z_i``, a rational entry
+subtracts ``c*z_i`` and a row with phi unpacks ``z_i`` once to add ``phi*z_i``
+as well; ``x_i == 0`` is ``z_i == 0``.  A new point's scalars are built when
+the sweep finds it: its discoverer's, with the touched coordinates read
+through one map from packed int to ``QSqrt5`` that starts with the seed's
+values, so each distinct value is one object.  Unpacking is exact while both
+parts stay below 2^(k-1), and a reflection at most triples the largest part,
+so each unpacked part, in a phi row and as each value enters the map, must
+stay below 2^(k-4): past it the sweep runs again at width ``2k``.  Every
+generator is an involution (its Cartan diagonal is 2, checked before the sweep
+and by ``reflect``), so when the sweep maps point ``v`` to ``n`` it records
+both ``perm[v] = n`` and ``perm[n] = v`` and skips that generator at ``n``,
+and ``reflect`` checks the first step of each one.  Points whose length is not
+the rank raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -92,20 +96,31 @@ def _zphi_rows(d: Diagram) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 def reflect(d: Diagram, i: int, x: Point) -> Point:
     """Apply the reflection of node ``i`` (1-based): x - x_i * (row i of C).
 
-    Each touched coordinate is reduced by one gcd and built in place, as
-    ``qsqrt5._make`` would build it.
+    The Cartan diagonal, checked to be 2, negates x_i.  Each other touched
+    coordinate is reduced by one gcd and built in place, as ``qsqrt5._make``
+    would build it; an integer entry needs no √5 product.
     """
     if not 1 <= i <= d.rank:
         raise ValueError(f"generators {(i,)} outside 1..{d.rank}")
     if len(x) != d.rank:
         _fits(d, x)  # raises
     row = _sparse_rows(d)[i - 1]
+    if (i - 1, 2, 0, 1) not in row:
+        raise ConsistencyError(f"Cartan diagonal of {d.name} at node {i} is not 2")
     try:
         a, b, s = x[i - 1]._p, x[i - 1]._q, x[i - 1]._r
         coords = list(x)
         for j, c, e, t in row:
+            if j == i - 1:  # -x_i, already canonical
+                coords[j] = z = _new(QSqrt5)
+                z._p, z._q, z._r = -a, -b, s
+                continue
             # x_j - x_i C_ij, where x_i C_ij = (P + Q√5)/w
-            y, P, Q, w = coords[j], a * c + 5 * b * e, a * e + b * c, s * t
+            if e or t != 1:
+                P, Q, w = a * c + 5 * b * e, a * e + b * c, s * t
+            else:
+                P, Q, w = a * c, b * c, s
+            y = coords[j]
             r = y._r
             if r == w:
                 p, q = y._p - P, y._q - Q
@@ -128,7 +143,7 @@ def orbit(d: Diagram, seed: Point, generators) -> OrbitResult:
     """
     _fits(d, seed, "seed")
     gens = tuple(sorted(set(generators)))
-    if any(i < 1 or i > d.rank for i in gens):
+    if gens and (gens[0] < 1 or gens[-1] > d.rank):
         raise ValueError(f"generators {gens} outside 1..{d.rank}")
     return _orbit(d, as_point(seed), gens)
 
@@ -136,7 +151,7 @@ def orbit(d: Diagram, seed: Point, generators) -> OrbitResult:
 def _pairs(x) -> tuple[tuple[tuple[int, int], ...], int]:
     """``(((p_k, q_k), ...), r)`` with ``x_k == (p_k + q_k√5)/r`` for the least ``r``."""
     r = lcm(*[v._r for v in x])
-    return tuple((v._p * (k := r // v._r), v._q * k) for v in x), r
+    return tuple([(v._p * (k := r // v._r), v._q * k) for v in x]), r
 
 
 # bits between the seed's largest part and the first packing width k; at least 4,
@@ -155,12 +170,15 @@ def _unpack(z: int, k: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=256)
 def _orbit(d: Diagram, seed: Point, gens: tuple[int, ...]) -> OrbitResult:
+    if not gens:  # nothing to sweep or check
+        return OrbitResult((seed,), ())
     rows = _zphi_rows(d)
     for i in gens:
         if (i - 1, 2, 0) not in rows[i - 1]:
             raise ConsistencyError(f"Cartan diagonal of {d.name} at node {i} is not 2")
     pairs, scale = _pairs(seed)
-    k = max(abs(n) for p, q in pairs for n in (p - q, 2 * q)).bit_length() + _MARGIN
+    # a | b has the bit length of the larger of a and b
+    k = max([abs(p - q) | abs(2 * q) for p, q in pairs]).bit_length() + _MARGIN
     while True:
         try:
             points, perms = _sweep(d, seed, gens, pairs, scale, k)
@@ -179,16 +197,27 @@ def _sweep(d: Diagram, seed: Point, gens: tuple[int, ...], pairs, scale: int, k:
     ``a + b*2^k`` for ``a + b*phi == p_j + q_j√5``; ``OverflowError`` when k is
     too narrow for the orbit's parts."""
     rows = _zphi_rows(d)
-    # per generator: 0-based i, whether row i holds a phi, and its (j, c, e) entries
-    steps = [(i - 1, any(e for _, _, e in rows[i - 1]), rows[i - 1]) for i in gens]
-    start = tuple(p - q + (2 * q << k) for p, q in pairs)
+    # perm[n] is filled ahead of the sweep by n's partner, so the lists grow by doubling
+    perms = tuple([[None] for _ in gens])
+    # per generator: 0-based i, whether row i holds a phi, its off-diagonal (j, c, e) entries
+    # (the diagonal 2, checked by _orbit, negates x_i), the columns it touches and its perm
+    steps = []
+    for i, perm in zip([g - 1 for g in gens], perms):
+        row = [t for t in rows[i] if t[0] != i]
+        steps.append((i, any([t[2] for t in row]), row, [i] + [t[0] for t in row], perm))
+    start = tuple([p - q + (2 * q << k) for p, q in pairs])
+    # packed value -> its one QSqrt5 (a + b*phi)/scale: the seed's own, which fit the
+    # width k, then each built and checked by ``_unpack`` the first time it is read
+    scalars = dict(zip(start, seed))
     limit = group_order(d)
     index = {start: 0}
     order = [start]
-    # perm[n] is filled ahead of the sweep by n's partner, so the lists grow by doubling
-    perms = tuple([None] for _ in gens)
+    size = cap = 1  # points found; length of each perm list
+    # each point's scalars, built when the sweep finds it: the discoverer's, with the
+    # touched coordinates read from the map (the seed's too), so values are shared
+    built = [tuple(map(scalars.__getitem__, start))]
     for v, x in enumerate(order):  # order grows while swept: first-in, first-out
-        for (i, golden, row), perm in zip(steps, perms):
+        for i, golden, row, cols, perm in steps:
             if perm[v] is not None:
                 continue  # x is the image of an earlier point under this involution
             z = x[i]
@@ -196,6 +225,7 @@ def _sweep(d: Diagram, seed: Point, gens: tuple[int, ...], pairs, scale: int, k:
                 perm[v] = v
                 continue
             y = list(x)
+            y[i] = -z
             if golden:
                 # phi*(a + b*phi) = b + (a + b)*phi, since phi^2 = phi + 1
                 a, b = _unpack(z, k)
@@ -206,22 +236,26 @@ def _sweep(d: Diagram, seed: Point, gens: tuple[int, ...], pairs, scale: int, k:
                 for j, c, _ in row:
                     y[j] -= c * z
             y = tuple(y)
-            n = index.get(y)
-            if n is None:
-                n = index[y] = len(order)
+            n = index.setdefault(y, size)
+            if n == size:
                 if n == limit:
                     raise ConsistencyError(f"orbit in {d.name} outgrows |W| = {limit}")
+                size += 1
                 order.append(y)
-                if n == len(perm):
+                point = list(built[v])
+                for j in cols:
+                    t = y[j]
+                    if t not in scalars:
+                        a, b = _unpack(t, k)
+                        scalars[t] = _make(2 * a + b, b, 2 * scale)
+                    point[j] = scalars[t]
+                built.append(tuple(point))
+                if n == cap:
                     for p in perms:
                         p += [None] * n
+                    cap *= 2
             perm[v], perm[n] = n, v
-    # one QSqrt5 (a + b*phi)/scale per distinct coordinate past the seed, each checked once
-    scalars = {z: _make(2 * a + b, b, 2 * scale)
-               for z in set().union(*order[1:]) for a, b in [_unpack(z, k)]}
-    points = (seed, *[tuple(map(scalars.__getitem__, y)) for y in order[1:]])
-    size = len(order)
-    return points, tuple(tuple(perm[:size]) for perm in perms)
+    return (seed, *built[1:]), tuple([tuple(perm[:size]) for perm in perms])
 
 
 def stabilizer_order_of_point(d: Diagram, seed: Point) -> int:

@@ -7,6 +7,8 @@ Claims:
     - ``info`` on a group order past the int-to-str digit limit prints no
       partial output: one ``error:`` line and exit 1, before any chain walk
     - importing the CLI leaves numpy unloaded; only ``export`` needs it
+    - importing the CLI leaves ``platonic.verify`` unloaded; only ``verify``
+      runs the battery
     - a failed cross-check is an ``error:`` line and exit 1, not a traceback;
       inside ``verify`` it fails its own check and the battery runs on
     - ``verify`` passes under ``python -O``, which strips asserts
@@ -262,6 +264,12 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr or "numpy was imported"
+
+    def test_import_leaves_verify_unloaded(self):
+        code = "import sys, platonic.cli; sys.exit('platonic.verify' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr or "platonic.verify was imported"
 
 
 class TestBadUsage:

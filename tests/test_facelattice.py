@@ -2,7 +2,8 @@
 
 Claims:
     - class sizes match the classical face-count tables in ranks 3 and 4
-    - geometric set enumeration reproduces every class size
+    - geometric set enumeration reproduces every class size; the vertex
+      class, read off the vertex table, equals the closure of vertex 0
     - stabilizer-order ratios give the meeting numbers for consecutive
       dimensions and telescope across gaps
     - for non-consecutive dimensions the ratio counts flags, which the
@@ -227,6 +228,13 @@ class TestEnumerate:
         faces = enumerate_faces(h3, chain(h3, End.LEFT)[0])
         pts = orbit(h3, seed_point(h3, End.LEFT), h3.nodes).points
         assert {pts[f[0]] for f in faces} == set(pts)
+
+    def test_vertex_class_equals_closure_of_vertex_0(self):
+        for d in chain_diagrams(8):
+            for end in (End.LEFT, End.RIGHT):
+                perms = vertex_table(d, end)[1]
+                assert enumerate_faces(d, chain(d, end)[0]) == \
+                    facelattice._closure((0,), perms), (d.name, end)
 
     def test_matches_formula_3d_4d(self):
         for name in ("A3", "B3", "C3", "H3", "A4", "B4", "C4", "F4", "H4"):

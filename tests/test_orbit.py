@@ -12,6 +12,8 @@ Claims:
       ``reflect`` alone under every generator subset, each permutation is an
       involution, and a wrong Cartan row or diagonal fails fast instead of
       hanging or pairing points wrongly
+    - ``reflect`` negates x_i and refuses a Cartan diagonal other than 2, also
+      under ``-O``
     - a sweep whose packing width is too narrow for its orbit runs again wider
       and still returns the same points and permutations, also under ``-O``
     - points whose length is not the rank are rejected
@@ -447,6 +449,42 @@ class TestCorruptRows:
     def test_wrong_diagonal_rejected_under_optimize(self):
         raises_under_optimize("rows[:1] + (((0, -1, 0), (1, 3, 0), (2, -1, 0)),) + rows[2:]",
                               "diagonal of A3 at node 2")
+
+
+# row 2 of A3's sparse Cartan rows with a diagonal of 3, as (column, p, q, r) entries
+A3_ROW_2_DIAGONAL_3 = ((0, -1, 0, 1), (1, 3, 0, 1), (2, -1, 0, 1))
+
+
+class TestReflectDiagonal:
+    def test_wrong_diagonal_rejected(self, monkeypatch):
+        # reflect negates x_i instead of multiplying by the diagonal, so it checks it is 2
+        a3 = parse_name("A3")
+        real = orbit_module._sparse_rows
+
+        def rows(d):
+            table = real(d)
+            return table[:1] + (A3_ROW_2_DIAGONAL_3,) + table[2:] if d == a3 else table
+
+        monkeypatch.setattr(orbit_module, "_sparse_rows", rows)
+        with pytest.raises(ConsistencyError, match="diagonal of A3 at node 2"):
+            reflect(a3, 2, as_point((1, 1, 1)))
+        assert reflect(a3, 1, as_point((1, 1, 1))) == as_point((-1, 2, 1))
+
+    def test_wrong_diagonal_rejected_under_optimize(self):
+        proc = run_under_optimize(
+            "from platonic import ConsistencyError, as_point, parse_name\n"
+            "a3 = parse_name('A3')\n"
+            "rows = m._sparse_rows(a3)\n"
+            f"m._sparse_rows = lambda d: rows[:1] + ({A3_ROW_2_DIAGONAL_3},) + rows[2:]\n"
+            "try:\n"
+            "    m.reflect(a3, 2, as_point((1, 1, 1)))\n"
+            "except ConsistencyError as e:\n"
+            "    print(e)\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "diagonal of A3 at node 2" in proc.stdout
 
 
 class TestStabilizer:
