@@ -9,23 +9,20 @@ enumeration is a plain breadth-first closure with a deterministic generator
 sweep that also records how each generator permutes the points it visits.
 
 Inside the sweep, and only there, coordinate ``x_j = (a_j + b_j*phi)/R``
-(golden ratio ``phi``, one denominator ``R`` of the seed) is the one int
-``z_j = a_j + b_j*2^k``, with ``k`` the bit length of the seed's largest part
-plus ``_MARGIN``.  Every Cartan entry (2, -1, -2, -phi) lies in Z[phi] and the
-packing is linear, so the diagonal 2 negates ``z_i``, a rational entry
-subtracts ``c*z_i`` and a row with phi unpacks ``z_i`` once to add ``phi*z_i``
-as well; ``x_i == 0`` is ``z_i == 0``.  A new point's scalars are built when
-the sweep finds it: its discoverer's, with the touched coordinates read
-through one map from packed int to ``QSqrt5`` that starts with the seed's
-values, so each distinct value is one object.  Unpacking is exact while both
-parts stay below 2^(k-1), and a reflection at most triples the largest part,
-so each unpacked part, in a phi row and as each value enters the map, must
-stay below 2^(k-4): past it the sweep runs again at width ``2k``.  Every
-generator is an involution (its Cartan diagonal is 2, checked before the sweep
-and by ``reflect``), so when the sweep maps point ``v`` to ``n`` it records
-both ``perm[v] = n`` and ``perm[n] = v`` and skips that generator at ``n``,
-and ``reflect`` checks the first step of each one.  Points whose length is not
-the rank raise ``ValueError``.
+(golden ratio ``phi``, one denominator ``R`` of the seed) is held as plain
+ints: ``a_j`` at position j and, when the seed has a root-5 part or a swept
+Cartan row holds phi, ``b_j`` at j + n (n the rank).  Every Cartan entry (2,
+-1, -2, -phi) is in Z[phi] and ``phi^2 = phi + 1``, so a reflection is int
+arithmetic on the parts, the diagonal a negation; Python ints are exact at
+any size, so no width or range check is needed.  A new point's scalars are
+built when the sweep finds it: its discoverer's, with the touched coordinates
+read through one map from parts to ``QSqrt5`` that starts with the seed's
+values, so each distinct value is one object.
+Every generator is an involution (its Cartan diagonal is 2, checked before the
+sweep and by ``reflect``), so when the sweep maps point ``v`` to ``w`` it
+records both ``perm[v] = w`` and ``perm[w] = v`` and skips that generator at
+``w``, and ``reflect`` checks the first step of each one.  Points whose length
+is not the rank raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -154,20 +151,6 @@ def _pairs(x) -> tuple[tuple[tuple[int, int], ...], int]:
     return tuple([(v._p * (k := r // v._r), v._q * k) for v in x]), r
 
 
-# bits between the seed's largest part and the first packing width k; at least 4,
-# so that the seed's own parts pass the check of ``_unpack``
-_MARGIN = 8
-
-
-def _unpack(z: int, k: int) -> tuple[int, int]:
-    """``(a, b)`` with ``z == a + b*2^k``; ``OverflowError`` unless both are below 2^(k-4)."""
-    b = (z + (1 << k - 1)) >> k
-    a = z - (b << k)
-    if (abs(a) | abs(b)) >> k - 4:
-        raise OverflowError(f"orbit parts outgrow the packing width {k}")
-    return a, b
-
-
 @lru_cache(maxsize=256)
 def _orbit(d: Diagram, seed: Point, gens: tuple[int, ...]) -> OrbitResult:
     if not gens:  # nothing to sweep or check
@@ -176,15 +159,7 @@ def _orbit(d: Diagram, seed: Point, gens: tuple[int, ...]) -> OrbitResult:
     for i in gens:
         if (i - 1, 2, 0) not in rows[i - 1]:
             raise ConsistencyError(f"Cartan diagonal of {d.name} at node {i} is not 2")
-    pairs, scale = _pairs(seed)
-    # a | b has the bit length of the larger of a and b
-    k = max([abs(p - q) | abs(2 * q) for p, q in pairs]).bit_length() + _MARGIN
-    while True:
-        try:
-            points, perms = _sweep(d, seed, gens, pairs, scale, k)
-            break
-        except OverflowError:
-            k *= 2
+    points, perms = _sweep(d, seed, gens)
     for i, perm in zip(gens, perms):
         if reflect(d, i, seed) != points[perm[0]]:
             raise ConsistencyError(
@@ -192,69 +167,74 @@ def _orbit(d: Diagram, seed: Point, gens: tuple[int, ...]) -> OrbitResult:
     return OrbitResult(points, perms)
 
 
-def _sweep(d: Diagram, seed: Point, gens: tuple[int, ...], pairs, scale: int, k: int):
-    """Points and perms of the orbit, with x_j = (p_j + q_j√5)/scale packed as
-    ``a + b*2^k`` for ``a + b*phi == p_j + q_j√5``; ``OverflowError`` when k is
-    too narrow for the orbit's parts."""
-    rows = _zphi_rows(d)
-    # perm[n] is filled ahead of the sweep by n's partner, so the lists grow by doubling
+def _sweep(d: Diagram, seed: Point, gens: tuple[int, ...]):
+    """Points and perms of the orbit, with x_j = (a_j + b_j*phi)/scale held as the int
+    ``a_j`` at j and, when the seed has a root-5 part or a swept row holds phi, ``b_j``
+    at j + n; any other orbit stays rational, so its b parts are 0 and not kept."""
+    rows, n = _zphi_rows(d), d.rank
+    pairs, scale = _pairs(seed)
+    # perm[k] is filled ahead of the sweep by k's partner, so the lists grow by doubling
     perms = tuple([[None] for _ in gens])
-    # per generator: 0-based i, whether row i holds a phi, its off-diagonal (j, c, e) entries
-    # (the diagonal 2, checked by _orbit, negates x_i), the columns it touches and its perm
+    # per generator: 0-based i, its off-diagonal (j, c, e) entries (the diagonal 2,
+    # checked by _orbit, negates x_i), the columns it touches and its perm
     steps = []
     for i, perm in zip([g - 1 for g in gens], perms):
         row = [t for t in rows[i] if t[0] != i]
-        steps.append((i, any([t[2] for t in row]), row, [i] + [t[0] for t in row], perm))
-    start = tuple([p - q + (2 * q << k) for p, q in pairs])
-    # packed value -> its one QSqrt5 (a + b*phi)/scale: the seed's own, which fit the
-    # width k, then each built and checked by ``_unpack`` the first time it is read
-    scalars = dict(zip(start, seed))
+        steps.append((i, row, [i] + [t[0] for t in row], perm))
+    # p + q*root5 == (p - q) + 2q*phi
+    wide = any([q for _, q in pairs]) or any([e for g in gens for _, _, e in rows[g - 1]])
+    start = tuple([p - q for p, q in pairs] + ([2 * q for _, q in pairs] if wide else []))
+    # parts -> their one QSqrt5 (a + b*phi)/scale: the seed's own, then each built the
+    # first time it is read; keyed by a, or by (a, b) in a golden orbit
+    keys = list(zip(start, start[n:])) if wide else start
+    scalars = dict(zip(keys, seed))
     limit = group_order(d)
     index = {start: 0}
     order = [start]
     size = cap = 1  # points found; length of each perm list
     # each point's scalars, built when the sweep finds it: the discoverer's, with the
     # touched coordinates read from the map (the seed's too), so values are shared
-    built = [tuple(map(scalars.__getitem__, start))]
+    built = [tuple(map(scalars.__getitem__, keys))]
     for v, x in enumerate(order):  # order grows while swept: first-in, first-out
-        for i, golden, row, cols, perm in steps:
+        for i, row, cols, perm in steps:
             if perm[v] is not None:
                 continue  # x is the image of an earlier point under this involution
-            z = x[i]
-            if not z:
+            a = x[i]
+            if not a and not (wide and x[i + n]):
                 perm[v] = v
                 continue
             y = list(x)
-            y[i] = -z
-            if golden:
-                # phi*(a + b*phi) = b + (a + b)*phi, since phi^2 = phi + 1
-                a, b = _unpack(z, k)
-                w = b + (a + b << k)
+            y[i] = -a
+            if wide:
+                # (c + e*phi)(a + b*phi) = c*a + e*b + (c*b + e*(a + b))*phi
+                b = x[i + n]
+                y[i + n] = -b
                 for j, c, e in row:
-                    y[j] -= c * z + e * w
+                    y[j] -= c * a + e * b
+                    y[j + n] -= c * b + e * (a + b)
             else:
                 for j, c, _ in row:
-                    y[j] -= c * z
+                    y[j] -= c * a
             y = tuple(y)
-            n = index.setdefault(y, size)
-            if n == size:
-                if n == limit:
+            k = index.setdefault(y, size)
+            if k == size:
+                if k == limit:
                     raise ConsistencyError(f"orbit in {d.name} outgrows |W| = {limit}")
                 size += 1
                 order.append(y)
                 point = list(built[v])
                 for j in cols:
-                    t = y[j]
+                    t = (y[j], y[j + n]) if wide else y[j]
                     if t not in scalars:
-                        a, b = _unpack(t, k)
-                        scalars[t] = _make(2 * a + b, b, 2 * scale)
+                        u, w = t if wide else (t, 0)
+                        scalars[t] = _make(2 * u + w, w, 2 * scale)
                     point[j] = scalars[t]
                 built.append(tuple(point))
-                if n == cap:
+                if k == cap:
                     for p in perms:
-                        p += [None] * n
+                        p += [None] * k
                     cap *= 2
-            perm[v], perm[n] = n, v
+            perm[v], perm[k] = k, v
     return (seed, *built[1:]), tuple([tuple(perm[:size]) for perm in perms])
 
 

@@ -26,6 +26,10 @@ Claims:
     - the two seed ends give dual polytopes: facets of the left one map
       equivariantly and bijectively onto vertices of the right one, and
       the facets around each left k-face are a right (n-1-k)-face
+    - each end's enumerated lattice of every chain diagram of rank <= 7 has
+      exactly |W| maximal chains vertex < edge < ... < facet, as W acts simply
+      transitively on the flags of a regular polytope; one B4 edge swapped
+      for a non-edge breaks the count
     - a count that disagrees with the enumeration raises ConsistencyError,
       also under ``python -O``
 """
@@ -464,6 +468,47 @@ class TestDualLattice:
                 duals = {tuple(sorted(set.intersection(*(around[v] for v in face))))
                          for face in enumerate_faces(d, left[k])}
                 assert duals == set(enumerate_faces(d, right[n - 1 - k])), (d.name, k)
+
+
+def flag_count(classes):
+    """Maximal chains vertex < edge < ... < facet of a lattice given as its face
+    classes in dimension order: each k-face sums the counts of the (k-1)-faces
+    it contains, and the facets' counts add up to the answer."""
+    counts = dict.fromkeys(classes[0], 1)
+    for lower, upper in zip(classes, classes[1:]):
+        above = {}  # vertex -> the upper faces holding it, as sets
+        for face in upper:
+            for v in face:
+                above.setdefault(v, []).append((face, set(face)))
+        sums = dict.fromkeys(upper, 0)
+        for face in lower:
+            for big, vertices in above.get(face[0], ()):
+                if vertices.issuperset(face):
+                    sums[big] += counts[face]
+        counts = sums
+    return sum(counts.values())
+
+
+class TestFlagCount:
+    def test_every_chain_polytope_has_group_order_flags(self):
+        cases = [(d, end) for d in chain_diagrams(7) for end in End]
+        assert len(cases) == 46
+        for d, end in cases:
+            classes = [enumerate_faces(d, dec) for dec in chain(d, end)]
+            assert flag_count(classes) == group_order(d), (d.name, end)
+
+    def test_tampered_lattice_fails(self):
+        # one edge u-v of B4's left polytope swapped for u-w, w the first other
+        # vertex that no edge joins to u
+        d = parse_name("B4")
+        classes = [list(enumerate_faces(d, dec)) for dec in chain(d, End.LEFT)]
+        assert flag_count(classes) == group_order(d) == 384
+        edges = set(classes[1])
+        u = classes[1][0][0]
+        w = next(w for w in range(len(classes[0]))
+                 if w != u and tuple(sorted((u, w))) not in edges)
+        classes[1][0] = tuple(sorted((u, w)))
+        assert flag_count(classes) == 368
 
 
 class TestConsistency:
